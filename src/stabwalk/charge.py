@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
 
 from .errors import DimensionMismatch, IndexOutOfRange, OutOfSector
+from .lattice import WeylElement
 from .linalg import IntVec, Vec, to_vec, vdot
 
 
@@ -99,6 +99,12 @@ class ComplexDivisor:
     @property
     def n(self) -> int:
         return len(self.beta)
+
+
+def frame_point(frame: WeylElement, p: ComplexDivisor) -> ComplexDivisor:
+    """Pull a parameter back through a reflection frame."""
+    return ComplexDivisor(frame.apply_dual_inverse(p.beta),
+                          frame.apply_dual_inverse(p.omega))
 
 
 @dataclass(frozen=True)

@@ -54,14 +54,20 @@ EXIT_NON_GENERIC = 4
 EXIT_DOMAIN = 5
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # raise instead of exiting, so main reports bad flags as one JSON object
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--graph", metavar="FILE", help="dual graph JSON file")
     common.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
     common.add_argument("--format", choices=("json", "table"), default=None,
                         help="output rendering (default json)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stabwalk",
         description="chamber and wall-crossing combinatorics over a tree of rational curves",
     )
@@ -155,6 +161,8 @@ def cmd_roots(args) -> Dict[str, Any]:
 
 
 def cmd_weyl(args) -> Dict[str, Any]:
+    if args.cap < 1:
+        raise ValueError(f"--cap must be at least 1, got {args.cap}")
     lat = _load_graph(args)
     elements = lat.enumerate_weyl(cap=args.cap)
     out: Dict[str, Any] = {"order": len(elements)}
@@ -290,14 +298,11 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else EXIT_PARSE
-
-    try:
+        args = build_parser().parse_args(argv)
         payload = DISPATCH[args.command](args)
+    except SystemExit:  # --help; flag errors raise ArgumentError instead
+        return 0
     except (NotATree, NotNegativeDefinite) as exc:
         return _fail(exc, EXIT_BAD_GRAPH)
     except (PathHitsForbidden, ForbiddenStratum) as exc:
@@ -306,7 +311,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _fail(exc, EXIT_NON_GENERIC)
     except StabwalkError as exc:
         return _fail(exc, EXIT_DOMAIN)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, argparse.ArgumentError) as exc:
         return _fail(exc, EXIT_PARSE)
 
     if isinstance(payload, str):

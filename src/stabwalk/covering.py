@@ -20,6 +20,12 @@ i, pops the top instead and the frame returns to the previous chamber's
 frame.  Chamber identity is the reduced stack; frames of the same
 chamber would otherwise drift by right twists, which do not move the
 chamber.
+
+A lift keeps one frame pair (theta, theta^-1) per prefix of the stack,
+built once from the start state's stack.  A push appends the pair one
+crossing longer, with theta^-1 taken from the inverted word of gamma; a
+pop drops the last pair, so going back to the previous frame costs
+nothing and no frame is ever rebuilt or inverted.
 """
 
 from __future__ import annotations
@@ -37,7 +43,17 @@ from .errors import (
     PathHitsForbidden,
     StartNotGeneric,
 )
-from .fm_words import AffineMap, FMWord, Flop, Twist, affine_identity, compose, word
+from .fm_words import (
+    AffineMap,
+    FMWord,
+    Flop,
+    Twist,
+    affine_identity,
+    compose,
+    invert,
+    theta,
+    word,
+)
 from .lattice import RootLattice
 from .linalg import vadd, vscale, vsub
 from .strata import in_complement
@@ -89,11 +105,6 @@ def crossing_generator(lat: RootLattice, i: int, k: int) -> FMWord:
     return word((Twist(div), Flop(i)))
 
 
-def _gamma_theta(lat: RootLattice, i: int, k: int) -> AffineMap:
-    div = tuple(k if j == i - 1 else 0 for j in range(lat.n))
-    return AffineMap(lat.coreflection_mat(i), div)
-
-
 def stack_word(lat: RootLattice, stack: Sequence[Crossing]) -> FMWord:
     u = word(())
     for c in stack:
@@ -102,10 +113,14 @@ def stack_word(lat: RootLattice, stack: Sequence[Crossing]) -> FMWord:
 
 
 def stack_theta(lat: RootLattice, stack: Sequence[Crossing]) -> AffineMap:
-    acc = affine_identity(lat.n)
-    for c in stack:
-        acc = acc.compose(_gamma_theta(lat, c.curve, c.strip))
-    return acc
+    return theta(lat, stack_word(lat, stack))
+
+
+def _push_frame(lat: RootLattice, frames: List[Tuple[AffineMap, AffineMap]], c: Crossing):
+    """Append the frame pair (theta, theta^-1) one crossing beyond the last."""
+    g = crossing_generator(lat, c.curve, c.strip)
+    th, th_inv = frames[-1]
+    frames.append((th.compose(theta(lat, g)), theta(lat, invert(g)).compose(th_inv)))
 
 
 def fundamental_state(lat: RootLattice, base: Optional[ComplexDivisor] = None) -> LiftState:
@@ -116,16 +131,22 @@ def fundamental_state(lat: RootLattice, base: Optional[ComplexDivisor] = None) -
     return state
 
 
-def _validate_state(state: LiftState) -> None:
+def _validate_state(state: LiftState) -> List[Tuple[AffineMap, AffineMap]]:
+    """Check a start state; return the frame pairs of its stack's prefixes."""
     lat = state.lattice
     if state.position.n != lat.n:
         raise StartNotGeneric("state position size differs from lattice rank")
     if not in_complement(lat, state.position):
         raise StartNotGeneric("state position lies on the forbidden locus")
-    inv = state.theta.inverse()
-    framed_omega = inv.apply_linear(state.position.omega)
+    frames = [(affine_identity(lat.n), affine_identity(lat.n))]
+    for c in state.stack:
+        _push_frame(lat, frames, c)
+    if frames[-1][0] != state.theta:
+        raise StartNotGeneric("state theta is not the shadow of its stack")
+    framed_omega = frames[-1][1].apply_linear(state.position.omega)
     if not all(x > 0 for x in framed_omega):
         raise StartNotGeneric("framed omega of the state is not strictly ample")
+    return frames
 
 
 def lift_path(lat: RootLattice, path: Sequence[ComplexDivisor],
@@ -139,7 +160,7 @@ def lift_path(lat: RootLattice, path: Sequence[ComplexDivisor],
     state: a fresh state is returned only on success.
     """
     state = start if start is not None else fundamental_state(lat)
-    _validate_state(state)
+    frames = _validate_state(state)
     pts = [p if isinstance(p, ComplexDivisor) else ComplexDivisor(*p) for p in path]
     if len(pts) < 1:
         raise StartNotGeneric("empty path")
@@ -152,8 +173,6 @@ def lift_path(lat: RootLattice, path: Sequence[ComplexDivisor],
             raise PathHitsForbidden(f"breakpoint {p} lies on the forbidden locus")
 
     stack: List[Crossing] = list(state.stack)
-    th = state.theta
-    th_inv = th.inverse()
     trace: List[TraceEvent] = list(state.trace)
     max_events = len(lat.positive_roots()) + 1
 
@@ -165,6 +184,7 @@ def lift_path(lat: RootLattice, path: Sequence[ComplexDivisor],
         domega = vsub(p1.omega, p0.omega)
         t = Fraction(0)
         for _ in range(max_events):
+            th_inv = frames[-1][1]
             # framed omega along the segment is a0 + s b, coordinatewise
             a0 = th_inv.apply_linear(p0.omega)
             b = th_inv.apply_linear(domega)
@@ -201,25 +221,22 @@ def lift_path(lat: RootLattice, path: Sequence[ComplexDivisor],
             k = strip_index(fb)
             if stack and stack[-1].curve == i and k == 1:
                 stack.pop()
-                th = stack_theta(lat, stack)
-                th_inv = th.inverse()
+                frames.pop()
                 trace.append(TraceEvent(seg, s, i, k, "pop", pos, framed))
             else:
                 stack.append(Crossing(i, k))
-                g = _gamma_theta(lat, i, k)
-                th = th.compose(g)
-                th_inv = g.inverse().compose(th_inv)
+                _push_frame(lat, frames, stack[-1])
                 trace.append(TraceEvent(seg, s, i, k, "push", pos, framed))
             t = s
         else:
             raise AssertionError("event scan failed to terminate")
         # segment end must be strictly inside the current chamber
-        end_framed = th_inv.apply_linear(p1.omega)
+        end_framed = frames[-1][1].apply_linear(p1.omega)
         if any(x == 0 for x in end_framed):
             raise NonGenericCrossing(
                 f"breakpoint after segment {seg} lies on a wall")
 
-    return LiftState(lat, state.base, pts[-1], tuple(stack), th, tuple(trace))
+    return LiftState(lat, state.base, pts[-1], tuple(stack), frames[-1][0], tuple(trace))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ the covering module; the three comparisons are deliberately kept apart.
 
 The shadow homomorphism sends a twist by the divisor L to the
 translation by L and the flop at curve i to the dual reflection there,
-with zero translation part.  The zero translation is a normalization
-pinned down by boundary matching of adjacent chambers; the regression
-test suite keeps it frozen.
+with zero translation part, a normalization pinned down by boundary
+matching of adjacent chambers.  Flops are involutions and a twist is
+undone by the opposite twist, so the shadow of the inverted word is the
+inverse of the shadow; that is how every inverse in the package is
+taken.
 """
 
 from __future__ import annotations
@@ -23,15 +25,12 @@ from .linalg import (
     IntMat,
     IntVec,
     identity_mat,
-    int_mat_inverse,
     mat_mul,
     mat_vec,
     transpose,
     vadd,
     vneg,
 )
-
-FLOP_TRANSLATION_PART = 0  # frozen normalization of the shadow of a flop
 
 
 @dataclass(frozen=True)
@@ -119,10 +118,6 @@ class AffineMap:
         return AffineMap(mat_mul(self.linear, other.linear),
                          vadd(self.trans, mat_vec(self.linear, other.trans)))
 
-    def inverse(self) -> "AffineMap":
-        inv = int_mat_inverse(self.linear)
-        return AffineMap(inv, vneg(mat_vec(inv, self.trans)))
-
 
 def affine_identity(n: int) -> AffineMap:
     return AffineMap(identity_mat(n), (0,) * n)
@@ -139,8 +134,7 @@ def theta(lat: RootLattice, u: FMWord) -> AffineMap:
         elif isinstance(g, Flop):
             if not (1 <= g.curve <= lat.n):
                 raise IndexOutOfRange(f"curve index {g.curve} not in 1..{lat.n}")
-            step = AffineMap(lat.coreflection_mat(g.curve),
-                             (FLOP_TRANSLATION_PART,) * lat.n)
+            step = AffineMap(lat.coreflection_mat(g.curve), (0,) * lat.n)
         else:
             raise TypeError(f"not a generator: {g!r}")
         acc = acc.compose(step)
@@ -155,7 +149,7 @@ def ch1_structure(lat: RootLattice, u: FMWord) -> IntVec:
 def model_of(lat: RootLattice, u: FMWord) -> WeylElement:
     """Reflection group element underlying the word's shadow."""
     lin = theta(lat, u).linear
-    return WeylElement(lat.n, transpose(int_mat_inverse(lin)), lin, None)
+    return WeylElement(lat.n, transpose(theta(lat, invert(u)).linear), lin, None)
 
 
 def is_in_g(lat: RootLattice, u: FMWord) -> bool:

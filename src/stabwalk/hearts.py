@@ -16,7 +16,6 @@ cone by framing the point first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Tuple
 
 from .charge import (
@@ -25,6 +24,7 @@ from .charge import (
     KClass,
     central_charge,
     curve_class,
+    frame_point,
     line_bundle_class,
     point_class,
 )
@@ -141,8 +141,7 @@ def stability_check(h: HeartDescriptor, p: ComplexDivisor) -> StabilityReport:
     A failing generator is recorded, not raised; callers inspect the
     report.
     """
-    framed = ComplexDivisor(h.frame.apply_dual_inverse(p.beta),
-                            h.frame.apply_dual_inverse(p.omega))
+    framed = frame_point(h.frame, p)
     entries = []
     for c, tag in generators(h):
         z = central_charge(framed, c)

@@ -25,7 +25,6 @@ from .linalg import (
     IntMat,
     IntVec,
     identity_mat,
-    int_mat_inverse,
     leading_minors,
     mat_mul,
     mat_vec,
@@ -144,7 +143,7 @@ class WeylElement:
 
     def inverse(self) -> "WeylElement":
         word = tuple(reversed(self.word)) if self.word is not None else None
-        return WeylElement(self.n, int_mat_inverse(self.mat),
+        return WeylElement(self.n, transpose(self.dual_mat),
                            transpose(self.mat), word)
 
 

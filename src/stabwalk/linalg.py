@@ -91,35 +91,3 @@ def leading_minors(m: Sequence[Sequence[int]]) -> Tuple[int, ...]:
         det_int([row[: k + 1] for row in list(m)[: k + 1]]) for k in range(n)
     )
 
-
-def mat_inverse(m: Sequence[Sequence[Scalar]]) -> Tuple[Vec, ...]:
-    """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
-
-
-def int_mat_inverse(m: Sequence[Sequence[int]]) -> IntMat:
-    """Inverse of a unimodular integer matrix, returned with integer entries."""
-    inv = mat_inverse(m)
-    out = []
-    for row in inv:
-        ints = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            ints.append(int(x))
-        out.append(tuple(ints))
-    return tuple(out)

@@ -45,10 +45,6 @@ def dumps(obj: Any) -> str:
 
 # -- graphs ----------------------------------------------------------------
 
-def graph_json(g: DualGraph) -> Dict[str, Any]:
-    return {"n_curves": g.n_curves, "edges": [list(e) for e in g.edges]}
-
-
 def parse_graph(data) -> DualGraph:
     if not isinstance(data, dict) or "n_curves" not in data:
         raise ValueError("graph JSON needs an object with n_curves and edges")
@@ -157,22 +153,6 @@ def word_json(u: FMWord) -> List[Dict[str, Any]]:
         else:
             raise TypeError(f"not a generator: {g!r}")
     return out
-
-
-def parse_word(data) -> FMWord:
-    if not isinstance(data, list):
-        raise ValueError("word JSON must be a list of generators")
-    gens = []
-    for item in data:
-        if not isinstance(item, dict) or len(item) != 1:
-            raise ValueError(f"malformed generator {item!r}")
-        if "twist" in item:
-            gens.append(Twist(tuple(int(x) for x in item["twist"])))
-        elif "flop" in item:
-            gens.append(Flop(int(item["flop"])))
-        else:
-            raise ValueError(f"unknown generator {item!r}")
-    return FMWord(tuple(gens))
 
 
 def affine_json(m: AffineMap) -> Dict[str, Any]:

@@ -11,12 +11,10 @@ reads off one strip integer per vanishing coordinate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from .charge import ComplexDivisor, strip_index
+from .charge import ComplexDivisor, frame_point, strip_index
 from .errors import DimensionMismatch, OnWall
 from .lattice import Root, RootLattice, WeylElement
 from .linalg import Vec, to_vec, vdot
@@ -66,15 +64,21 @@ class Forbidden:
 StratumLabel = AmpleChamber | WallStrip | DeepStratum | Forbidden
 
 
+def _forbidden_root(lat: RootLattice, p: ComplexDivisor) -> Optional[Tuple[Root, int]]:
+    """First positive root with omega . v = 0 and beta . v integral, with that level."""
+    for r in lat.positive_roots():
+        if vdot(p.omega, r.coords) == 0:
+            level = vdot(p.beta, r.coords)
+            if level.denominator == 1:
+                return r, int(level)
+    return None
+
+
 def in_complement(lat: RootLattice, p: ComplexDivisor) -> bool:
     """True when no root has omega . v = 0 together with beta . v integral."""
     if p.n != lat.n:
         raise DimensionMismatch("parameter size differs from lattice rank")
-    for r in lat.positive_roots():
-        if vdot(p.omega, r.coords) == 0:
-            if vdot(p.beta, r.coords).denominator == 1:
-                return False
-    return True
+    return _forbidden_root(lat, p) is None
 
 
 def ample_test(lat: RootLattice, omega: Sequence) -> bool:
@@ -116,9 +120,10 @@ def locate_weyl_chamber(lat: RootLattice, omega: Sequence):
     o = to_vec(omega)
     if len(o) != lat.n:
         raise DimensionMismatch("omega size differs from lattice rank")
-    for r in lat.positive_roots():
-        if vdot(o, r.coords) == 0:
-            raise OnWall(f"omega pairs to zero with root {r.coords}")
+    # at beta = 0 every wall through omega is forbidden
+    on_wall = _forbidden_root(lat, ComplexDivisor((0,) * lat.n, o))
+    if on_wall is not None:
+        raise OnWall(f"omega pairs to zero with root {on_wall[0].coords}")
     w, _, dom = _descend_to_dominant(lat, o, o)
     return w, dom
 
@@ -133,11 +138,9 @@ def classify(lat: RootLattice, p: ComplexDivisor) -> StratumLabel:
     """
     if p.n != lat.n:
         raise DimensionMismatch("parameter size differs from lattice rank")
-    for r in lat.positive_roots():
-        if vdot(p.omega, r.coords) == 0:
-            level = vdot(p.beta, r.coords)
-            if level.denominator == 1:
-                return Forbidden(r, int(level))
+    forbidden = _forbidden_root(lat, p)
+    if forbidden is not None:
+        return Forbidden(*forbidden)
     frame, fb, fo = _descend_to_dominant(lat, p.beta, p.omega)
     vanishing = tuple(j + 1 for j, x in enumerate(fo) if x == 0)
     if not vanishing:
@@ -153,5 +156,4 @@ def framed_point(label: StratumLabel, p: ComplexDivisor) -> ComplexDivisor:
     if isinstance(label, Forbidden):
         raise OnWall("forbidden labels carry no frame")
     frame = label.weyl if isinstance(label, AmpleChamber) else label.frame
-    return ComplexDivisor(frame.apply_dual_inverse(p.beta),
-                          frame.apply_dual_inverse(p.omega))
+    return frame_point(frame, p)

@@ -59,8 +59,22 @@ def test_parse_failures(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, _ = _run(capsys, ["validate", "--graph", str(bad)])
     assert code == 1
-    code, _, _ = _run(capsys, ["no-such-command"])
-    assert code == 1
+    g = _graph(tmp_path, 2, [[1, 2]])
+    for argv in (["no-such-command"], [], ["weyl", "--graph", g, "--cap", "abc"],
+                 ["classify", "--graph", g]):
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ArgumentError"
+
+
+def test_weyl_cap_below_one_is_a_bad_flag(tmp_path, capsys):
+    g = _graph(tmp_path, 2, [[1, 2]])
+    for cap in ("-1", "0"):
+        code, out, err = _run(capsys, ["weyl", "--graph", g, "--cap", cap])
+        assert code == 1 and out == ""
+        msg = json.loads(err)
+        assert msg["error"] == "ValueError" and "--cap" in msg["message"]
 
 
 def test_help_exits_zero(capsys):

@@ -14,14 +14,17 @@ from stabwalk import (
     Crossing,
     Flop,
     IndexOutOfRange,
+    LiftState,
     NonGenericCrossing,
     PathHitsForbidden,
     StartNotGeneric,
     Twist,
+    affine_identity,
     chain_lattice,
     crossing_generator,
     default_basepoint,
     fundamental_state,
+    invert,
     isolating_depth,
     lattice_from_edges,
     lift_path,
@@ -170,8 +173,6 @@ def test_same_chamber_rank_one():
 
 
 def test_same_chamber_three_valued():
-    from stabwalk import LiftState
-
     lat = chain_lattice(2)
     base = default_basepoint(lat)
     sa = (Crossing(1, 0), Crossing(1, 0))
@@ -210,7 +211,7 @@ def test_framed_omega_stays_ample():
         except (NonGenericCrossing, PathHitsForbidden):
             continue
         done += 1
-        inv = end.theta.inverse()
+        inv = theta(lat, invert(stack_word(lat, end.stack)))
         assert all(x > 0 for x in inv.apply_linear(end.position.omega))
         assert end.position == pts[-1]
 
@@ -225,6 +226,13 @@ def test_start_state_validation():
         lift_path(lat, [])
     with pytest.raises(StartNotGeneric):
         lift_path(lat, [_pt([Fraction(1, 3)], [1])], fundamental_state(lat))
+    # the meridian stack shadows a translation by -1, not the identity
+    base = default_basepoint(lat)
+    stack = (Crossing(1, 1), Crossing(1, 2))
+    good = LiftState(lat, base, base, stack, stack_theta(lat, stack))
+    assert lift_path(lat, [base], good).theta == good.theta
+    with pytest.raises(StartNotGeneric):
+        lift_path(lat, [base], LiftState(lat, base, base, stack, affine_identity(1)))
 
 
 def test_simultaneous_crossing_rejected():

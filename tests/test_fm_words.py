@@ -19,7 +19,6 @@ from stabwalk import (
     theta,
     word,
 )
-from stabwalk.fm_words import FLOP_TRANSLATION_PART
 from stabwalk.linalg import mat_mul, transpose
 
 import pytest
@@ -41,7 +40,6 @@ def test_shadow_of_generators():
     assert t.linear == ((1,),) and t.trans == (2,)
     f = theta(lat, word((Flop(1),)))
     assert f.linear == ((-1,),) and f.trans == (0,)
-    assert FLOP_TRANSLATION_PART == 0
 
 
 def test_shadow_of_flop_has_no_offset():
@@ -140,8 +138,6 @@ def test_membership_examples():
 
 def test_affine_map_algebra():
     a = AffineMap(((0, -1), (1, 0)), (2, 0))
-    b = a.inverse()
-    assert a.compose(b).is_identity and b.compose(a).is_identity
     assert a.apply((1, 1)) == (1, 1)
     assert a.apply_linear((1, 1)) == (-1, 1)
     assert affine_identity(2).apply((5, -3)) == (5, -3)

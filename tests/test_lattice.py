@@ -17,7 +17,7 @@ from stabwalk import (
     chain_lattice,
     lattice_from_edges,
 )
-from stabwalk.linalg import identity_mat, int_mat_inverse, mat_mul, mat_vec, transpose
+from stabwalk.linalg import identity_mat, mat_mul, mat_vec, transpose
 
 
 def d4_lattice():
@@ -162,7 +162,7 @@ def test_weyl_elements_preserve_gram():
     g = lat.gram
     for w in lat.enumerate_weyl():
         assert mat_mul(mat_mul(transpose(w.mat), g), w.mat) == g
-        assert w.dual_mat == transpose(int_mat_inverse(w.mat))
+        assert mat_mul(transpose(w.mat), w.dual_mat) == identity_mat(3)
         # the stored word regenerates the element
         assert lat.weyl_from_word(w.word) == w
 
