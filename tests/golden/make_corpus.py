@@ -36,7 +36,7 @@ SEED = 1
 OUT = Path(__file__).resolve().parent / "corpus.json"
 
 WEYL_LIGHT = ("A1", "A2", "A3", "A4", "D4")
-WEYL_LISTED = ("A1", "A2", "A3")
+WEYL_LISTED = ("A1", "A2", "A3", "A4", "D4")
 
 # rank-one paths the CLI must reject: a crossing at an integral beta (exit
 # 3) and a breakpoint on the wall (exit 4)
