@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Tuple, Union
 
-from .errors import DimensionMismatch, IndexOutOfRange
+from .errors import DimensionMismatch
 from .lattice import RootLattice, WeylElement
 from .linalg import (
     IntMat,
@@ -27,7 +27,6 @@ from .linalg import (
     identity_mat,
     mat_mul,
     mat_vec,
-    transpose,
     vadd,
     vneg,
 )
@@ -124,21 +123,23 @@ def affine_identity(n: int) -> AffineMap:
 
 
 def theta(lat: RootLattice, u: FMWord) -> AffineMap:
-    """Affine shadow of a word on divisor coordinates."""
-    acc = affine_identity(lat.n)
-    for g in u.gens:
+    """Affine shadow of a word on divisor coordinates.
+
+    The linear part is the dual matrix of the word's flops.  Reading the
+    word from the right carries each twist through the flops to its left.
+    """
+    flops, trans = [], (0,) * lat.n
+    for g in reversed(u.gens):
         if isinstance(g, Twist):
             if len(g.divisor) != lat.n:
                 raise DimensionMismatch("twist divisor size differs from rank")
-            step = AffineMap(identity_mat(lat.n), g.divisor)
+            trans = vadd(trans, g.divisor)
         elif isinstance(g, Flop):
-            if not (1 <= g.curve <= lat.n):
-                raise IndexOutOfRange(f"curve index {g.curve} not in 1..{lat.n}")
-            step = AffineMap(lat.coreflection_mat(g.curve), (0,) * lat.n)
+            trans = lat.simple_coreflect(g.curve, trans)
+            flops.append(g.curve)
         else:
             raise TypeError(f"not a generator: {g!r}")
-        acc = acc.compose(step)
-    return acc
+    return AffineMap(lat.weyl_from_word(reversed(flops)).dual_mat, trans)
 
 
 def ch1_structure(lat: RootLattice, u: FMWord) -> IntVec:
@@ -148,8 +149,7 @@ def ch1_structure(lat: RootLattice, u: FMWord) -> IntVec:
 
 def model_of(lat: RootLattice, u: FMWord) -> WeylElement:
     """Reflection group element underlying the word's shadow."""
-    lin = theta(lat, u).linear
-    return WeylElement(lat.n, transpose(theta(lat, invert(u)).linear), lin, None)
+    return lat.weyl_from_word(g.curve for g in u.gens if isinstance(g, Flop))
 
 
 def is_in_g(lat: RootLattice, u: FMWord) -> bool:
