@@ -159,21 +159,23 @@ def lift_path(lat: RootLattice, path: Sequence[ComplexDivisor],
     locus raises PathHitsForbidden.  Failures never mutate the caller's
     state: a fresh state is returned only on success.
     """
-    state = start if start is not None else fundamental_state(lat)
-    frames = _validate_state(state)
+    if start is None:
+        p = default_basepoint(lat)
+        start = LiftState(lat, p, p, (), affine_identity(lat.n))
+    frames = _validate_state(start)
     pts = [p if isinstance(p, ComplexDivisor) else ComplexDivisor(*p) for p in path]
     if len(pts) < 1:
         raise StartNotGeneric("empty path")
-    if pts[0] != state.position:
+    if pts[0] != start.position:
         raise StartNotGeneric("path does not start at the state position")
-    for p in pts:
+    for p in pts[1:]:  # pts[0] is the state position, checked above
         if p.n != lat.n:
             raise PathHitsForbidden("breakpoint size differs from lattice rank")
         if not in_complement(lat, p):
             raise PathHitsForbidden(f"breakpoint {p} lies on the forbidden locus")
 
-    stack: List[Crossing] = list(state.stack)
-    trace: List[TraceEvent] = list(state.trace)
+    stack: List[Crossing] = list(start.stack)
+    trace: List[TraceEvent] = list(start.trace)
     max_events = len(lat.positive_roots()) + 1
 
     for seg in range(len(pts) - 1):
@@ -236,7 +238,7 @@ def lift_path(lat: RootLattice, path: Sequence[ComplexDivisor],
             raise NonGenericCrossing(
                 f"breakpoint after segment {seg} lies on a wall")
 
-    return LiftState(lat, state.base, pts[-1], tuple(stack), frames[-1][0], tuple(trace))
+    return LiftState(lat, start.base, pts[-1], tuple(stack), frames[-1][0], tuple(trace))
 
 
 @dataclass(frozen=True)

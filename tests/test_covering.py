@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import stabwalk.covering as covering_mod
 from stabwalk import (
     DISTINCT,
     EQUAL,
@@ -233,6 +235,26 @@ def test_start_state_validation():
     assert lift_path(lat, [base], good).theta == good.theta
     with pytest.raises(StartNotGeneric):
         lift_path(lat, [base], LiftState(lat, base, base, stack, affine_identity(1)))
+
+
+def test_default_start_is_validated_once(monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        fn = getattr(covering_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(covering_mod, name, wrapper)
+
+    counting("_validate_state")
+    counting("in_complement")
+    lat = chain_lattice(2)
+    end = lift_path(lat, [default_basepoint(lat), _pt([Fraction(1, 3), Fraction(1, 2)], [2, 1])])
+    assert end.stack == ()
+    # one start check, one scan of the start point and one of the breakpoint
+    assert calls == {"_validate_state": 1, "in_complement": 2}
 
 
 def test_simultaneous_crossing_rejected():
