@@ -219,6 +219,8 @@ def cmd_meridian(args) -> Dict[str, Any]:
 
 
 def cmd_plot(args) -> str:
+    if args.format is not None:
+        raise ValueError(f"--format {args.format} does not apply to plot, which writes SVG")
     lat = _load_graph(args)
     if args.point:
         base = _point_literal(args.point)

@@ -226,6 +226,12 @@ def test_plot_flag_conflicts(tmp_path, capsys):
         "plot", "--graph", g, "--path", str(path_file), "--meridian", "0"])
     assert code == 1
     assert json.loads(err)["error"] == "ValueError"
+    # plot writes SVG only, so an explicit --format is refused, not ignored
+    for fmt in ("json", "table"):
+        code, out, err = _run(capsys, ["plot", "--graph", g, "--format", fmt])
+        assert code == 1 and out == ""
+        msg = json.loads(err)
+        assert msg["error"] == "ValueError" and "--format" in msg["message"]
 
 
 def test_plot_rejects_off_slice_path(tmp_path, capsys):
