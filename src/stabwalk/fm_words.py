@@ -8,10 +8,11 @@ the covering module; the three comparisons are deliberately kept apart.
 The shadow homomorphism sends a twist by the divisor L to the
 translation by L and the flop at curve i to the dual reflection there,
 with zero translation part, a normalization pinned down by boundary
-matching of adjacent chambers.  Flops are involutions and a twist is
-undone by the opposite twist, so the shadow of the inverted word is the
-inverse of the shadow; that is how every inverse in the package is
-taken.
+matching of adjacent chambers.  So the linear part is the reflection
+group element spelled by the flops, and each twist is carried through
+the flops to its left.  Flops are involutions and a twist is undone by
+the opposite twist, so the shadow of the inverted word is the inverse
+of the shadow; that is how every inverse in the package is taken.
 """
 
 from __future__ import annotations
@@ -123,11 +124,7 @@ def affine_identity(n: int) -> AffineMap:
 
 
 def theta(lat: RootLattice, u: FMWord) -> AffineMap:
-    """Affine shadow of a word on divisor coordinates.
-
-    The linear part is the dual matrix of the word's flops.  Reading the
-    word from the right carries each twist through the flops to its left.
-    """
+    """Affine shadow of a word on divisor coordinates, read from the right."""
     flops, trans = [], (0,) * lat.n
     for g in reversed(u.gens):
         if isinstance(g, Twist):

@@ -5,6 +5,9 @@ pairing has (e_i, e_i) = -2 and (e_i, e_j) = 1 exactly when the curves
 meet, and must be negative definite for the tree to come from an actual
 contraction.  Dual coordinates live in the divisor basis D_1..D_N with
 D_i . e_j given by the Kronecker delta, not by the gram form.
+
+Reflection group elements are words in the simple reflections, acting on
+divisor coordinates by one sparse simple coreflection per letter.
 """
 
 from __future__ import annotations
@@ -92,11 +95,11 @@ class Root:
 class WeylElement:
     """Reflection group element, stored as a word in simple reflections.
 
-    The first letter is outermost, w = s_w1 s_w2 ..., and the dual actions
-    run the word through RootLattice.simple_coreflect.  Equality, hashing
+    The first letter is outermost, w = s_w1 s_w2 ....  Equality, hashing
     and is_identity use the key w^-1 rho, rho = (1, ..., 1): only the
-    identity fixes a regular rho, so the key determines w.  The matrices
-    are built from the word only when asked for.
+    identity fixes a regular rho, so the key determines w.  Elements come
+    from RootLattice.weyl_from_word, which computes the key, or from
+    enumerate_weyl; the matrices are built from the word when asked for.
     """
 
     __slots__ = ("lattice", "word", "_key")
@@ -196,8 +199,10 @@ class RootLattice:
         return vadd(ds, vscale(vdot(ds, c), mat_vec(self.gram, c)))
 
     def simple_coreflect(self, i: int, d: Sequence) -> tuple:
-        """coreflect at e_i in one sparse step: d_i -> -d_i, then d_j += d_i
-        for each tree neighbour j of curve i."""
+        """coreflect at e_i in one sparse step.
+
+        d_i changes sign, then d_j += d_i for each tree neighbour j of curve i.
+        """
         if not (1 <= i <= self.n):
             raise IndexOutOfRange(f"curve index {i} not in 1..{self.n}")
         out = list(d)
@@ -228,7 +233,7 @@ class RootLattice:
     def weyl_identity(self) -> WeylElement:
         return self.weyl_from_word(())
 
-    def weyl_from_word(self, word: Sequence[int]) -> WeylElement:
+    def weyl_from_word(self, word: Iterable[int]) -> WeylElement:
         """Product of simple reflections, first letter outermost on both sides."""
         word = tuple(word)
         return WeylElement(self, word, self._coreflect_word(word, (1,) * self.n))
@@ -237,17 +242,14 @@ class RootLattice:
 
     @cached_property
     def _root_closure(self) -> Tuple[Tuple[Root, ...], Tuple[Root, ...]]:
-        seen = {self.simple_root(i).coords for i in range(1, self.n + 1)}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for i in range(1, self.n + 1):
-                    img = tuple(self.reflect(self.simple_root(i).coords, v))
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
+        queue = [self.simple_root(i).coords for i in range(1, self.n + 1)]
+        seen = set(queue)
+        for v in queue:  # read while it grows
+            for i in range(1, self.n + 1):
+                img = tuple(self.reflect(self.simple_root(i).coords, v))
+                if img not in seen:
+                    seen.add(img)
+                    queue.append(img)
         roots = tuple(Root(c) for c in sorted(seen))
         return roots, tuple(r for r in roots if r.is_positive)
 
@@ -259,9 +261,12 @@ class RootLattice:
         return self._root_closure[1]
 
     def enumerate_weyl(self, cap: int = WEYL_CAP_DEFAULT) -> Tuple[WeylElement, ...]:
-        """Full reflection group, breadth-first over keys: w s_i has key
-        simple_coreflect(i, key of w).  Raises CapExceeded as soon as more
-        than cap distinct elements appear."""
+        """Full reflection group by closure under the simple generators.
+
+        Breadth-first over keys, as w s_i has key simple_coreflect(i, key of
+        w).  Raises CapExceeded as soon as more than cap distinct elements
+        appear.
+        """
         rho = (1,) * self.n
         words = {rho: ()}
         queue = [rho]
