@@ -8,11 +8,10 @@ the covering module; the three comparisons are deliberately kept apart.
 The shadow homomorphism sends a twist by the divisor L to the
 translation by L and the flop at curve i to the dual reflection there,
 with zero translation part, a normalization pinned down by boundary
-matching of adjacent chambers.  So the linear part is the reflection
-group element spelled by the flops, and each twist is carried through
-the flops to its left.  Flops are involutions and a twist is undone by
-the opposite twist, so the shadow of the inverted word is the inverse
-of the shadow; that is how every inverse in the package is taken.
+matching of adjacent chambers.  Flops are involutions and a twist is
+undone by the opposite twist, so the shadow of the inverted word is the
+inverse of the shadow; that is how every inverse in the package is
+taken.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Tuple, Union
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, IndexOutOfRange
 from .lattice import RootLattice, WeylElement
 from .linalg import (
     IntMat,
@@ -28,6 +27,7 @@ from .linalg import (
     identity_mat,
     mat_mul,
     mat_vec,
+    transpose,
     vadd,
     vneg,
 )
@@ -124,19 +124,21 @@ def affine_identity(n: int) -> AffineMap:
 
 
 def theta(lat: RootLattice, u: FMWord) -> AffineMap:
-    """Affine shadow of a word on divisor coordinates, read from the right."""
-    flops, trans = [], (0,) * lat.n
-    for g in reversed(u.gens):
+    """Affine shadow of a word on divisor coordinates."""
+    acc = affine_identity(lat.n)
+    for g in u.gens:
         if isinstance(g, Twist):
             if len(g.divisor) != lat.n:
                 raise DimensionMismatch("twist divisor size differs from rank")
-            trans = vadd(trans, g.divisor)
+            step = AffineMap(identity_mat(lat.n), g.divisor)
         elif isinstance(g, Flop):
-            trans = lat.simple_coreflect(g.curve, trans)
-            flops.append(g.curve)
+            if not (1 <= g.curve <= lat.n):
+                raise IndexOutOfRange(f"curve index {g.curve} not in 1..{lat.n}")
+            step = AffineMap(lat.coreflection_mat(g.curve), (0,) * lat.n)
         else:
             raise TypeError(f"not a generator: {g!r}")
-    return AffineMap(lat.weyl_from_word(reversed(flops)).dual_mat, trans)
+        acc = acc.compose(step)
+    return acc
 
 
 def ch1_structure(lat: RootLattice, u: FMWord) -> IntVec:
@@ -146,7 +148,8 @@ def ch1_structure(lat: RootLattice, u: FMWord) -> IntVec:
 
 def model_of(lat: RootLattice, u: FMWord) -> WeylElement:
     """Reflection group element underlying the word's shadow."""
-    return lat.weyl_from_word(g.curve for g in u.gens if isinstance(g, Flop))
+    lin = theta(lat, u).linear
+    return WeylElement(lat.n, transpose(theta(lat, invert(u)).linear), lin, None)
 
 
 def is_in_g(lat: RootLattice, u: FMWord) -> bool:

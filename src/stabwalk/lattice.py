@@ -5,16 +5,13 @@ pairing has (e_i, e_i) = -2 and (e_i, e_j) = 1 exactly when the curves
 meet, and must be negative definite for the tree to come from an actual
 contraction.  Dual coordinates live in the divisor basis D_1..D_N with
 D_i . e_j given by the Kronecker delta, not by the gram form.
-
-Reflection group elements are words in the simple reflections, acting on
-divisor coordinates by one sparse simple coreflection per letter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     CapExceeded,
@@ -29,6 +26,7 @@ from .linalg import (
     IntVec,
     identity_mat,
     leading_minors,
+    mat_mul,
     mat_vec,
     transpose,
     vadd,
@@ -93,59 +91,60 @@ class Root:
 
 
 class WeylElement:
-    """Reflection group element, stored as a word in simple reflections.
+    """Reflection group element, stored as its action on both sides.
 
-    The first letter is outermost, w = s_w1 s_w2 ....  Equality, hashing
-    and is_identity use the key w^-1 rho, rho = (1, ..., 1): only the
-    identity fixes a regular rho, so the key determines w.  Elements come
-    from RootLattice.weyl_from_word, which computes the key, or from
-    enumerate_weyl; the matrices are built from the word when asked for.
+    mat acts on curve classes (columns of mat are images of the e_i).
+    dual_mat is the action on divisor coordinates; it equals the transpose
+    of mat for a single reflection and extends multiplicatively, so for a
+    product it is the inverse transpose of mat.  word is a witness in
+    simple reflection indices when one is known.
     """
 
-    __slots__ = ("lattice", "word", "_key")
+    __slots__ = ("n", "mat", "dual_mat", "word")
 
-    def __init__(self, lattice: "RootLattice", word: Tuple[int, ...], key: IntVec):
-        self.lattice = lattice
+    def __init__(self, n: int, mat: IntMat, dual_mat: IntMat,
+                 word: Optional[Tuple[int, ...]] = None):
+        self.n = n
+        self.mat = mat
+        self.dual_mat = dual_mat
         self.word = word
-        self._key = key
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, WeylElement) and self._key == other._key
+        return isinstance(other, WeylElement) and self.mat == other.mat
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self.mat)
 
     def __repr__(self) -> str:
-        return f"WeylElement(word={self.word})"
+        return f"WeylElement(word={self.word}, mat={self.mat})"
 
     @property
     def is_identity(self) -> bool:
-        return self._key == (1,) * len(self._key)
+        return self.mat == identity_mat(self.n)
+
+    def apply(self, x: Sequence) -> tuple:
+        """Action on curve-side coordinates."""
+        return mat_vec(self.mat, x)
 
     def apply_dual(self, d: Sequence) -> tuple:
-        """Action on divisor coordinates: the last letter acts first."""
-        return self.lattice._coreflect_word(reversed(self.word), d)
+        """Action on divisor-side coordinates."""
+        return mat_vec(self.dual_mat, d)
 
     def apply_dual_inverse(self, d: Sequence) -> tuple:
-        """Inverse action on divisor coordinates: the first letter acts first."""
-        return self.lattice._coreflect_word(self.word, d)
-
-    @property
-    def dual_mat(self) -> IntMat:
-        """Matrix of the dual action; column j is the image of D_j."""
-        return transpose([self.apply_dual(e) for e in identity_mat(len(self._key))])
-
-    @property
-    def mat(self) -> IntMat:
-        """Action on curve classes, the inverse transpose of dual_mat."""
-        return transpose(self.inverse().dual_mat)
+        # inverse of the dual action is plain transpose of mat
+        return mat_vec(transpose(self.mat), d)
 
     def compose(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(self.lattice, self.word + other.word,
-                           other.apply_dual_inverse(self._key))
+        word = None
+        if self.word is not None and other.word is not None:
+            word = self.word + other.word
+        return WeylElement(self.n, mat_mul(self.mat, other.mat),
+                           mat_mul(self.dual_mat, other.dual_mat), word)
 
     def inverse(self) -> "WeylElement":
-        return self.lattice.weyl_from_word(tuple(reversed(self.word)))
+        word = tuple(reversed(self.word)) if self.word is not None else None
+        return WeylElement(self.n, transpose(self.dual_mat),
+                           transpose(self.mat), word)
 
 
 @dataclass(frozen=True)
@@ -198,87 +197,85 @@ class RootLattice:
         ds = self._coords(d)
         return vadd(ds, vscale(vdot(ds, c), mat_vec(self.gram, c)))
 
-    def simple_coreflect(self, i: int, d: Sequence) -> tuple:
-        """coreflect at e_i in one sparse step.
-
-        d_i changes sign, then d_j += d_i for each tree neighbour j of curve i.
-        """
-        if not (1 <= i <= self.n):
-            raise IndexOutOfRange(f"curve index {i} not in 1..{self.n}")
-        out = list(d)
-        di = out[i - 1]
-        out[i - 1] = -di
-        for j in self._neighbours[i - 1]:
-            out[j] += di
-        return tuple(out)
-
-    def _coreflect_word(self, word: Iterable[int], d: Sequence) -> tuple:
-        """Run d through simple_coreflect once per letter, first letter first."""
-        out = tuple(d)
-        for i in word:
-            out = self.simple_coreflect(i, out)
-        return out
-
-    @cached_property
-    def _neighbours(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(tuple(j for j, g in enumerate(row) if g == 1) for row in self.gram)
-
-    # -- simple roots and Weyl elements --------------------------------------
+    # -- simple roots and reflection matrices ------------------------------
 
     def simple_root(self, i: int) -> Root:
         if not (1 <= i <= self.n):
             raise IndexOutOfRange(f"curve index {i} not in 1..{self.n}")
         return Root(tuple(1 if j == i - 1 else 0 for j in range(self.n)))
 
-    def weyl_identity(self) -> WeylElement:
-        return self.weyl_from_word(())
+    def simple_roots(self) -> Tuple[Root, ...]:
+        return tuple(self.simple_root(i) for i in range(1, self.n + 1))
 
-    def weyl_from_word(self, word: Iterable[int]) -> WeylElement:
+    def reflection_mat(self, i: int) -> IntMat:
+        e = self.simple_root(i).coords
+        cols = [self.reflect(e, self.simple_root(j).coords)
+                for j in range(1, self.n + 1)]
+        return transpose(cols)
+
+    def coreflection_mat(self, i: int) -> IntMat:
+        # transpose of reflection_mat(i); acts on divisor coordinates
+        return transpose(self.reflection_mat(i))
+
+    def weyl_identity(self) -> WeylElement:
+        eye = identity_mat(self.n)
+        return WeylElement(self.n, eye, eye, ())
+
+    def weyl_from_word(self, word: Sequence[int]) -> WeylElement:
         """Product of simple reflections, first letter outermost on both sides."""
-        word = tuple(word)
-        return WeylElement(self, word, self._coreflect_word(word, (1,) * self.n))
+        w = self.weyl_identity()
+        for i in word:
+            step = WeylElement(self.n, self.reflection_mat(i),
+                               self.coreflection_mat(i), (i,))
+            w = w.compose(step)
+        return w
 
     # -- enumeration --------------------------------------------------------
 
     @cached_property
-    def _root_closure(self) -> Tuple[Tuple[Root, ...], Tuple[Root, ...]]:
-        queue = [self.simple_root(i).coords for i in range(1, self.n + 1)]
-        seen = set(queue)
-        for v in queue:  # read while it grows
-            for i in range(1, self.n + 1):
-                img = tuple(self.reflect(self.simple_root(i).coords, v))
-                if img not in seen:
-                    seen.add(img)
-                    queue.append(img)
-        roots = tuple(Root(c) for c in sorted(seen))
-        return roots, tuple(r for r in roots if r.is_positive)
+    def _root_closure(self) -> Tuple[Root, ...]:
+        seen = {r.coords for r in self.simple_roots()}
+        frontier = list(seen)
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for i in range(1, self.n + 1):
+                    img = tuple(self.reflect(self.simple_root(i).coords, v))
+                    if img not in seen:
+                        seen.add(img)
+                        nxt.append(img)
+            frontier = nxt
+        return tuple(Root(c) for c in sorted(seen))
 
     def enumerate_roots(self) -> Tuple[Root, ...]:
         """All self-pairing -2 classes, closed under simple reflections."""
-        return self._root_closure[0]
+        return self._root_closure
 
     def positive_roots(self) -> Tuple[Root, ...]:
-        return self._root_closure[1]
+        return tuple(r for r in self.enumerate_roots() if r.is_positive)
 
     def enumerate_weyl(self, cap: int = WEYL_CAP_DEFAULT) -> Tuple[WeylElement, ...]:
         """Full reflection group by closure under the simple generators.
 
-        Breadth-first over keys, as w s_i has key simple_coreflect(i, key of
-        w).  Raises CapExceeded as soon as more than cap distinct elements
-        appear.
+        Raises CapExceeded as soon as more than cap distinct elements appear.
         """
-        rho = (1,) * self.n
-        words = {rho: ()}
-        queue = [rho]
-        for key in queue:  # read while it grows, so the search is breadth-first
-            for i in range(1, self.n + 1):
-                img = self.simple_coreflect(i, key)
-                if img not in words:
-                    if len(words) + 1 > cap:
-                        raise CapExceeded(f"more than {cap} elements")
-                    words[img] = words[key] + (i,)
-                    queue.append(img)
-        return tuple(WeylElement(self, word, key) for key, word in words.items())
+        ident = self.weyl_identity()
+        seen = {ident.mat: ident}
+        frontier = [ident]
+        while frontier:
+            nxt = []
+            for w in frontier:
+                for i in range(1, self.n + 1):
+                    step = WeylElement(self.n, self.reflection_mat(i),
+                                       self.coreflection_mat(i), (i,))
+                    prod = w.compose(step)
+                    if prod.mat not in seen:
+                        if len(seen) + 1 > cap:
+                            raise CapExceeded(f"more than {cap} elements")
+                        seen[prod.mat] = prod
+                        nxt.append(prod)
+            frontier = nxt
+        return tuple(seen.values())
 
 
 def build_lattice(graph: DualGraph) -> RootLattice:

@@ -76,11 +76,13 @@ def root_json(r: Root) -> List[int]:
 
 
 def weyl_json(w: WeylElement) -> Dict[str, Any]:
-    return {
+    out: Dict[str, Any] = {
         "mat": [list(row) for row in w.mat],
         "dual_mat": [list(row) for row in w.dual_mat],
-        "word": list(w.word),
     }
+    if w.word is not None:
+        out["word"] = list(w.word)
+    return out
 
 
 def charge_json(z: ExactComplex) -> Dict[str, str]:

@@ -89,20 +89,24 @@ def ample_test(lat: RootLattice, omega: Sequence) -> bool:
     return all(x > 0 for x in o)
 
 
-def _descend_to_dominant(lat: RootLattice, omega: Vec):
-    """Walk omega into the closed fundamental cone; return (frame, omega there).
+def _descend_to_dominant(lat: RootLattice, beta: Vec, omega: Vec):
+    """Walk (beta, omega) into the closed fundamental cone.
 
     Repeatedly coreflects at a simple root pairing strictly negatively
     with omega.  Each step removes exactly one inversion, so the walk
     stops after at most the number of positive roots, and the resulting
     frame is the minimal one; coordinates that vanish are never touched.
     """
-    o, word = omega, []
-    for _ in range(len(lat.positive_roots()) + 1):
+    b, o = beta, omega
+    word = []
+    guard = len(lat.positive_roots()) + 1
+    for _ in range(guard):
         i = next((j + 1 for j, x in enumerate(o) if x < 0), None)
         if i is None:
-            return lat.weyl_from_word(word), o
-        o = lat.simple_coreflect(i, o)
+            return lat.weyl_from_word(word), b, o
+        e = lat.simple_root(i).coords
+        b = lat.coreflect(e, b)
+        o = lat.coreflect(e, o)
         word.append(i)
     raise AssertionError("descent walk failed to terminate")
 
@@ -120,7 +124,8 @@ def locate_weyl_chamber(lat: RootLattice, omega: Sequence):
     on_wall = _forbidden_root(lat, ComplexDivisor((0,) * lat.n, o))
     if on_wall is not None:
         raise OnWall(f"omega pairs to zero with root {on_wall[0].coords}")
-    return _descend_to_dominant(lat, o)
+    w, _, dom = _descend_to_dominant(lat, o, o)
+    return w, dom
 
 
 def classify(lat: RootLattice, p: ComplexDivisor) -> StratumLabel:
@@ -136,11 +141,10 @@ def classify(lat: RootLattice, p: ComplexDivisor) -> StratumLabel:
     forbidden = _forbidden_root(lat, p)
     if forbidden is not None:
         return Forbidden(*forbidden)
-    frame, fo = _descend_to_dominant(lat, p.omega)
+    frame, fb, fo = _descend_to_dominant(lat, p.beta, p.omega)
     vanishing = tuple(j + 1 for j, x in enumerate(fo) if x == 0)
     if not vanishing:
         return AmpleChamber(frame)
-    fb = frame.apply_dual_inverse(p.beta)
     strips = tuple((i, strip_index(fb[i - 1])) for i in vanishing)
     if len(vanishing) == 1:
         return WallStrip(vanishing[0], strips[0][1], frame)
