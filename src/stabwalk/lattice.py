@@ -233,7 +233,7 @@ class RootLattice:
     # -- enumeration --------------------------------------------------------
 
     @cached_property
-    def _root_closure(self) -> Tuple[Root, ...]:
+    def _root_closure(self) -> Tuple[Tuple[Root, ...], Tuple[Root, ...]]:
         seen = {r.coords for r in self.simple_roots()}
         frontier = list(seen)
         while frontier:
@@ -245,14 +245,15 @@ class RootLattice:
                         seen.add(img)
                         nxt.append(img)
             frontier = nxt
-        return tuple(Root(c) for c in sorted(seen))
+        roots = tuple(Root(c) for c in sorted(seen))
+        return roots, tuple(r for r in roots if r.is_positive)
 
     def enumerate_roots(self) -> Tuple[Root, ...]:
         """All self-pairing -2 classes, closed under simple reflections."""
-        return self._root_closure
+        return self._root_closure[0]
 
     def positive_roots(self) -> Tuple[Root, ...]:
-        return tuple(r for r in self.enumerate_roots() if r.is_positive)
+        return self._root_closure[1]
 
     def enumerate_weyl(self, cap: int = WEYL_CAP_DEFAULT) -> Tuple[WeylElement, ...]:
         """Full reflection group by closure under the simple generators.
