@@ -206,4 +206,6 @@ def test_weyl_closed_under_composition():
     assert identity_mat(2) in {w.mat for w in group}
     for a in group:
         for b in group:
-            assert a.compose(b) in group
+            ab = a.compose(b)
+            assert ab in group and ab == lat.weyl_from_word(a.word + b.word)
+            assert ab.mat == mat_mul(a.mat, b.mat)
