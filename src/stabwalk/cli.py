@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Optional
 from . import serialize
 from .charge import central_charge
 from .covering import (
+    default_basepoint,
     fundamental_state,
     lift_path,
     meridian,
@@ -43,7 +44,7 @@ from .errors import (
 )
 from .fm_words import theta
 from .hearts import heart_for_stratum, stability_check
-from .lattice import RootLattice, build_lattice, chain_lattice
+from .lattice import WEYL_CAP_DEFAULT, RootLattice, build_lattice, chain_lattice
 from .plot import plot_slice
 from .strata import classify
 
@@ -81,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weyl", parents=[common], help="enumerate the reflection group")
     p.add_argument("--list", action="store_true", help="include all elements")
-    p.add_argument("--cap", type=int, default=100000,
+    p.add_argument("--cap", type=int, default=WEYL_CAP_DEFAULT,
                    help="abort enumeration beyond this many elements")
 
     p = sub.add_parser("classify", parents=[common], help="classify a point")
@@ -119,6 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="single curve end-to-end walkthrough")
 
     return parser
+
+
+# built once: each build leaves hundreds of objects in reference cycles
+_PARSER = build_parser()
 
 
 def _load_graph(args) -> RootLattice:
@@ -225,7 +230,7 @@ def cmd_plot(args) -> str:
     if args.point:
         base = _point_literal(args.point)
     else:
-        base = fundamental_state(lat).base
+        base = default_basepoint(lat)
     pts: Optional[List] = None
     if args.path and args.meridian is not None:
         raise ValueError("--path and --meridian are mutually exclusive")
@@ -301,7 +306,7 @@ def _fail(exc: Exception, code: int) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         payload = DISPATCH[args.command](args)
     except SystemExit:  # --help; flag errors raise ArgumentError instead
         return 0

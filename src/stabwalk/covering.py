@@ -123,10 +123,15 @@ def _push_frame(lat: RootLattice, frames: List[Tuple[AffineMap, AffineMap]], c: 
     frames.append((th.compose(theta(lat, g)), theta(lat, invert(g)).compose(th_inv)))
 
 
+def _fundamental_start(lat: RootLattice, base: Optional[ComplexDivisor] = None) -> LiftState:
+    """Start state over a basepoint of the fundamental chamber, unchecked."""
+    p = base if base is not None else default_basepoint(lat)
+    return LiftState(lat, p, p, (), affine_identity(lat.n))
+
+
 def fundamental_state(lat: RootLattice, base: Optional[ComplexDivisor] = None) -> LiftState:
     """Start state over a basepoint of the fundamental chamber."""
-    p = base if base is not None else default_basepoint(lat)
-    state = LiftState(lat, p, p, (), affine_identity(lat.n))
+    state = _fundamental_start(lat, base)
     _validate_state(state)
     return state
 
@@ -160,8 +165,7 @@ def lift_path(lat: RootLattice, path: Sequence[ComplexDivisor],
     state: a fresh state is returned only on success.
     """
     if start is None:
-        p = default_basepoint(lat)
-        start = LiftState(lat, p, p, (), affine_identity(lat.n))
+        start = _fundamental_start(lat)
     frames = _validate_state(start)
     pts = [p if isinstance(p, ComplexDivisor) else ComplexDivisor(*p) for p in path]
     if len(pts) < 1:
@@ -319,8 +323,7 @@ def meridian(lat: RootLattice, i: int, k: int,
     divisor coordinates; right twists do not move chambers.
     """
     waypoints = meridian_waypoints(lat, i, k, base)
-    start = fundamental_state(lat, waypoints[0])
-    end = lift_path(lat, waypoints, start)
+    end = lift_path(lat, waypoints, _fundamental_start(lat, waypoints[0]))
     if len(end.stack) != 2 or not end.theta.is_translation:
         raise NotEncirclable(
             f"rectangle around ({i}, {k}) did not close into a pure twist")
@@ -377,6 +380,6 @@ def strip_chamber_census(lat: RootLattice, curve: int = 1,
         down = ComplexDivisor(
             mid.beta,
             tuple(-depth if j == curve - 1 else o for j, o in enumerate(base.omega)))
-        end = lift_path(lat, [base, mid, down], fundamental_state(lat, base))
+        end = lift_path(lat, [base, mid, down])
         labels.add(end.stack)
     return tuple(sorted(labels, key=lambda st: [(c.curve, c.strip) for c in st]))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Tuple, Union
 
-from .errors import DimensionMismatch, IndexOutOfRange
+from .errors import DimensionMismatch
 from .lattice import RootLattice, WeylElement
 from .linalg import (
     IntMat,
@@ -27,7 +27,6 @@ from .linalg import (
     identity_mat,
     mat_mul,
     mat_vec,
-    transpose,
     vadd,
     vneg,
 )
@@ -132,9 +131,7 @@ def theta(lat: RootLattice, u: FMWord) -> AffineMap:
                 raise DimensionMismatch("twist divisor size differs from rank")
             step = AffineMap(identity_mat(lat.n), g.divisor)
         elif isinstance(g, Flop):
-            if not (1 <= g.curve <= lat.n):
-                raise IndexOutOfRange(f"curve index {g.curve} not in 1..{lat.n}")
-            step = AffineMap(lat.coreflection_mat(g.curve), (0,) * lat.n)
+            step = AffineMap(lat.generator(g.curve).dual_mat, (0,) * lat.n)
         else:
             raise TypeError(f"not a generator: {g!r}")
         acc = acc.compose(step)
@@ -147,9 +144,11 @@ def ch1_structure(lat: RootLattice, u: FMWord) -> IntVec:
 
 
 def model_of(lat: RootLattice, u: FMWord) -> WeylElement:
-    """Reflection group element underlying the word's shadow."""
-    lin = theta(lat, u).linear
-    return WeylElement(lat.n, transpose(theta(lat, invert(u)).linear), lin, None)
+    """Reflection group element underlying the word's shadow.
+
+    Twists only translate, so it is the product of the word's flops.
+    """
+    return lat.weyl_from_word([g.curve for g in u.gens if isinstance(g, Flop)])
 
 
 def is_in_g(lat: RootLattice, u: FMWord) -> bool:

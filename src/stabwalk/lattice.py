@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .errors import (
     CapExceeded,
@@ -97,13 +97,12 @@ class WeylElement:
     dual_mat is the action on divisor coordinates; it equals the transpose
     of mat for a single reflection and extends multiplicatively, so for a
     product it is the inverse transpose of mat.  word is a witness in
-    simple reflection indices when one is known.
+    simple reflection indices, first letter outermost.
     """
 
     __slots__ = ("n", "mat", "dual_mat", "word")
 
-    def __init__(self, n: int, mat: IntMat, dual_mat: IntMat,
-                 word: Optional[Tuple[int, ...]] = None):
+    def __init__(self, n: int, mat: IntMat, dual_mat: IntMat, word: Tuple[int, ...]):
         self.n = n
         self.mat = mat
         self.dual_mat = dual_mat
@@ -122,10 +121,6 @@ class WeylElement:
     def is_identity(self) -> bool:
         return self.mat == identity_mat(self.n)
 
-    def apply(self, x: Sequence) -> tuple:
-        """Action on curve-side coordinates."""
-        return mat_vec(self.mat, x)
-
     def apply_dual(self, d: Sequence) -> tuple:
         """Action on divisor-side coordinates."""
         return mat_vec(self.dual_mat, d)
@@ -135,16 +130,12 @@ class WeylElement:
         return mat_vec(transpose(self.mat), d)
 
     def compose(self, other: "WeylElement") -> "WeylElement":
-        word = None
-        if self.word is not None and other.word is not None:
-            word = self.word + other.word
         return WeylElement(self.n, mat_mul(self.mat, other.mat),
-                           mat_mul(self.dual_mat, other.dual_mat), word)
+                           mat_mul(self.dual_mat, other.dual_mat), self.word + other.word)
 
     def inverse(self) -> "WeylElement":
-        word = tuple(reversed(self.word)) if self.word is not None else None
-        return WeylElement(self.n, transpose(self.dual_mat),
-                           transpose(self.mat), word)
+        return WeylElement(self.n, transpose(self.dual_mat), transpose(self.mat),
+                           self.word[::-1])
 
 
 @dataclass(frozen=True)
@@ -213,9 +204,10 @@ class RootLattice:
                 for j in range(1, self.n + 1)]
         return transpose(cols)
 
-    def coreflection_mat(self, i: int) -> IntMat:
-        # transpose of reflection_mat(i); acts on divisor coordinates
-        return transpose(self.reflection_mat(i))
+    def generator(self, i: int) -> WeylElement:
+        """The simple reflection s_i; every Weyl element is built from these."""
+        m = self.reflection_mat(i)
+        return WeylElement(self.n, m, transpose(m), (i,))
 
     def weyl_identity(self) -> WeylElement:
         eye = identity_mat(self.n)
@@ -225,9 +217,7 @@ class RootLattice:
         """Product of simple reflections, first letter outermost on both sides."""
         w = self.weyl_identity()
         for i in word:
-            step = WeylElement(self.n, self.reflection_mat(i),
-                               self.coreflection_mat(i), (i,))
-            w = w.compose(step)
+            w = w.compose(self.generator(i))
         return w
 
     # -- enumeration --------------------------------------------------------
@@ -260,15 +250,14 @@ class RootLattice:
 
         Raises CapExceeded as soon as more than cap distinct elements appear.
         """
+        gens = [self.generator(i) for i in range(1, self.n + 1)]
         ident = self.weyl_identity()
         seen = {ident.mat: ident}
         frontier = [ident]
         while frontier:
             nxt = []
             for w in frontier:
-                for i in range(1, self.n + 1):
-                    step = WeylElement(self.n, self.reflection_mat(i),
-                                       self.coreflection_mat(i), (i,))
+                for step in gens:
                     prod = w.compose(step)
                     if prod.mat not in seen:
                         if len(seen) + 1 > cap:

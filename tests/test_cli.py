@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -23,6 +24,21 @@ def _run_json(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def test_a_call_leaves_few_cyclic_objects(tmp_path, capsys):
+    g = _graph(tmp_path, 2, [[1, 2]])
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(["roots", "--graph", g])
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert code == 0
+    # a parser built per call left 383 objects that only the collector frees
+    assert unreachable < 100
 
 
 def test_validate_chain(tmp_path, capsys):

@@ -255,6 +255,12 @@ def test_default_start_is_validated_once(monkeypatch):
     assert end.stack == ()
     # one start check, one scan of the start point and one of the breakpoint
     assert calls == {"_validate_state": 1, "in_complement": 2}
+    calls.clear()
+    meridian(lat, 1, 0)  # five waypoints
+    assert calls == {"_validate_state": 1, "in_complement": 5}
+    calls.clear()
+    strip_chamber_census(lat)  # eight lifts through two breakpoints each
+    assert calls == {"_validate_state": 8, "in_complement": 24}
 
 
 def test_simultaneous_crossing_rejected():

@@ -47,7 +47,7 @@ def test_shadow_of_flop_has_no_offset():
     for i in (1, 2, 3):
         t = theta(lat, word((Flop(i),)))
         assert t.trans == (0, 0, 0)
-        assert t.linear == lat.coreflection_mat(i)
+        assert t.linear == lat.generator(i).dual_mat
 
 
 def test_double_flop_word_is_translation():

@@ -17,6 +17,7 @@ from stabwalk import (
     chain_lattice,
     lattice_from_edges,
 )
+from stabwalk.lattice import RootLattice
 from stabwalk.linalg import identity_mat, mat_mul, mat_vec, transpose
 
 
@@ -183,7 +184,7 @@ def test_weyl_generator_dual_is_transpose():
         r = lat.weyl_from_word((i,))
         assert r.dual_mat == transpose(r.mat)
         assert r.mat == lat.reflection_mat(i)
-        assert lat.coreflection_mat(i) == transpose(lat.reflection_mat(i))
+        assert lat.generator(i).dual_mat == transpose(lat.reflection_mat(i))
 
 
 def test_reflection_mat_acts_like_reflect():
@@ -193,6 +194,22 @@ def test_reflection_mat_acts_like_reflect():
         e = lat.simple_root(i).coords
         for x in ((1, 0, 0), (0, 1, 0), (2, -1, 3)):
             assert mat_vec(m, x) == lat.reflect(e, x)
+
+
+def test_each_generator_builds_one_reflection_matrix(monkeypatch):
+    calls = []
+    real = RootLattice.reflection_mat
+
+    def counting(self, i):
+        calls.append(i)
+        return real(self, i)
+    monkeypatch.setattr(RootLattice, "reflection_mat", counting)
+    assert len(d4_lattice().enumerate_weyl()) == 192
+    assert sorted(calls) == [1, 2, 3, 4]
+    calls.clear()
+    w = (1, 2, 3, 1, 4, 2)
+    assert d4_lattice().weyl_from_word(w).word == w
+    assert calls == list(w)
 
 
 def test_weyl_cap():

@@ -70,9 +70,10 @@ def test_inverse_is_the_inverted_word(case):
 
     m = model_of(lat, u)
     assert mat_mul(transpose(m.mat), m.dual_mat) == eye
+    assert m.dual_mat == t.linear
 
     w = lat.weyl_from_word([g.curve for g in u.gens if isinstance(g, Flop)])
-    assert m == w
+    assert (m.mat, m.dual_mat, m.word) == (w.mat, w.dual_mat, w.word)
     for prod in (w.compose(w.inverse()), w.inverse().compose(w)):
         assert prod.is_identity and prod.dual_mat == eye
     assert w.inverse().word == tuple(reversed(w.word))
