@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Optional
 from . import serialize
 from .charge import central_charge
 from .covering import (
+    _fundamental_start,
     default_basepoint,
     fundamental_state,
     lift_path,
@@ -240,7 +241,7 @@ def cmd_plot(args) -> str:
         pts = meridian_waypoints(lat, args.curve, args.meridian, base)
     trace = ()
     if pts:
-        state = lift_path(lat, pts, fundamental_state(lat, pts[0]))
+        state = lift_path(lat, pts, _fundamental_start(lat, pts[0]))
         trace = state.trace
         if not args.point:
             base = pts[0]

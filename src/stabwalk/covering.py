@@ -8,6 +8,10 @@ as a word of crossing generators.  Framing the moving point through
 theta keeps its omega strictly positive between crossings, so crossings
 are exactly the sign changes of framed simple coordinates, found by
 solving linear equations in the segment parameter, with no rounding.
+The scans run on integer numerators: each segment's start omega and its
+direction are put over one common denominator once, framed by the
+integer frame matrix, and a crossing time is one fraction of integer
+products; only the event points themselves are built as fractions.
 
 Crossing the frame wall (i, k) appends the generator
 
@@ -55,7 +59,7 @@ from .fm_words import (
     word,
 )
 from .lattice import RootLattice
-from .linalg import vadd, vscale, vsub
+from .linalg import common_denominator, vadd, vdot, vscale, vsub
 from .strata import in_complement
 
 
@@ -148,8 +152,8 @@ def _validate_state(state: LiftState) -> List[Tuple[AffineMap, AffineMap]]:
         _push_frame(lat, frames, c)
     if frames[-1][0] != state.theta:
         raise StartNotGeneric("state theta is not the shadow of its stack")
-    framed_omega = frames[-1][1].apply_linear(state.position.omega)
-    if not all(x > 0 for x in framed_omega):
+    on, _ = common_denominator(state.position.omega)
+    if not all(x > 0 for x in frames[-1][1].apply_linear(on)):
         raise StartNotGeneric("framed omega of the state is not strictly ample")
     return frames
 
@@ -188,12 +192,14 @@ def lift_path(lat: RootLattice, path: Sequence[ComplexDivisor],
             continue
         dbeta = vsub(p1.beta, p0.beta)
         domega = vsub(p1.omega, p0.omega)
+        on, od = common_denominator(p0.omega)
+        dn, dd = common_denominator(domega)
         t = Fraction(0)
         for _ in range(max_events):
             th_inv = frames[-1][1]
-            # framed omega along the segment is a0 + s b, coordinatewise
-            a0 = th_inv.apply_linear(p0.omega)
-            b = th_inv.apply_linear(domega)
+            # framed omega along the segment is a0 / od + s b / dd, coordinatewise
+            a0 = th_inv.apply_linear(on)
+            b = th_inv.apply_linear(dn)
             for j in range(lat.n):
                 if b[j] == 0 and a0[j] == 0:
                     raise NonGenericCrossing(
@@ -201,7 +207,7 @@ def lift_path(lat: RootLattice, path: Sequence[ComplexDivisor],
             hits = []
             for j in range(lat.n):
                 if b[j] != 0:
-                    s = -Fraction(a0[j]) / Fraction(b[j])
+                    s = Fraction(-a0[j] * dd, b[j] * od)
                     if t < s <= 1:
                         hits.append((s, j + 1))
             if not hits:
@@ -237,8 +243,8 @@ def lift_path(lat: RootLattice, path: Sequence[ComplexDivisor],
         else:
             raise AssertionError("event scan failed to terminate")
         # segment end must be strictly inside the current chamber
-        end_framed = frames[-1][1].apply_linear(p1.omega)
-        if any(x == 0 for x in end_framed):
+        end_framed = frames[-1][1].apply_linear(common_denominator(p1.omega)[0])
+        if 0 in end_framed:
             raise NonGenericCrossing(
                 f"breakpoint after segment {seg} lies on a wall")
 
@@ -262,18 +268,19 @@ def isolating_depth(lat: RootLattice, omega: Sequence, i: int) -> Fraction:
     magnitude (capped by omega_i itself) keeps every wall but the
     simple one out of reach.
     """
-    floor = None
+    on, od = common_denominator(omega)
+    floor = None  # highest crossing as (numerator, vi): omega_i = num / (vi od)
     for r in lat.positive_roots():
         v = r.coords
-        if v[i - 1] <= 0 or not any(v[j] for j in range(lat.n) if j != i - 1):
+        vi = v[i - 1]
+        if vi <= 0 or not any(v[j] for j in range(lat.n) if j != i - 1):
             continue
-        rest = sum(omega[j] * v[j] for j in range(lat.n) if j != i - 1)
-        crossing = -Fraction(rest, v[i - 1])
-        if floor is None or crossing > floor:
-            floor = crossing
+        rest = vdot(on, v) - on[i - 1] * vi
+        if floor is None or -rest * floor[1] > floor[0] * vi:
+            floor = (-rest, vi)
     if floor is None:
         return Fraction(omega[i - 1])
-    return min(Fraction(omega[i - 1]), -floor / 2)
+    return min(Fraction(omega[i - 1]), Fraction(-floor[0], 2 * floor[1] * od))
 
 
 def meridian_waypoints(lat: RootLattice, i: int, k: int,

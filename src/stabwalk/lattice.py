@@ -204,10 +204,20 @@ class RootLattice:
                 for j in range(1, self.n + 1)]
         return transpose(cols)
 
+    @cached_property
+    def _generators(self) -> Tuple[WeylElement, ...]:
+        mats = [self.reflection_mat(i) for i in range(1, self.n + 1)]
+        return tuple(WeylElement(self.n, m, transpose(m), (i,))
+                     for i, m in enumerate(mats, 1))
+
     def generator(self, i: int) -> WeylElement:
-        """The simple reflection s_i; every Weyl element is built from these."""
-        m = self.reflection_mat(i)
-        return WeylElement(self.n, m, transpose(m), (i,))
+        """The simple reflection s_i, built once per lattice.
+
+        Every Weyl element is built from these.
+        """
+        if not (1 <= i <= self.n):
+            raise IndexOutOfRange(f"curve index {i} not in 1..{self.n}")
+        return self._generators[i - 1]
 
     def weyl_identity(self) -> WeylElement:
         eye = identity_mat(self.n)
@@ -250,7 +260,7 @@ class RootLattice:
 
         Raises CapExceeded as soon as more than cap distinct elements appear.
         """
-        gens = [self.generator(i) for i in range(1, self.n + 1)]
+        gens = self._generators
         ident = self.weyl_identity()
         seen = {ident.mat: ident}
         frontier = [ident]

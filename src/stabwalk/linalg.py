@@ -6,6 +6,7 @@ over asymptotics.  No floating point anywhere.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple, Union
 
@@ -17,6 +18,12 @@ IntMat = Tuple[IntVec, ...]
 
 def to_vec(xs: Iterable[Scalar]) -> Vec:
     return tuple(Fraction(x) for x in xs)
+
+
+def common_denominator(v: Sequence[Scalar]) -> Tuple[IntVec, int]:
+    """Integer numerators of v over one positive denominator, the lcm of v's."""
+    d = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (d // x.denominator) for x in v), d
 
 
 def vadd(a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple:

@@ -7,6 +7,11 @@ reflection wall (an open chamber, labeled by the reflection group
 element framing it) or lies on walls; framing the point into the closed
 fundamental cone turns vanishing pairings into simple coordinates and
 reads off one strip integer per vanishing coordinate.
+
+The forbidden test scans the positive roots on integer numerators: beta
+and omega are each put over one common denominator, so omega . v = 0 is
+an integer dot product and the level of beta . v is one divmod by
+beta's denominator.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 from .charge import ComplexDivisor, frame_point, strip_index
 from .errors import DimensionMismatch, OnWall
 from .lattice import Root, RootLattice, WeylElement
-from .linalg import Vec, to_vec, vdot
+from .linalg import Vec, common_denominator, to_vec, vdot
 
 
 @dataclass(frozen=True)
@@ -66,11 +71,13 @@ StratumLabel = AmpleChamber | WallStrip | DeepStratum | Forbidden
 
 def _forbidden_root(lat: RootLattice, p: ComplexDivisor) -> Optional[Tuple[Root, int]]:
     """First positive root with omega . v = 0 and beta . v integral, with that level."""
+    on, _ = common_denominator(p.omega)
+    bn, bd = common_denominator(p.beta)
     for r in lat.positive_roots():
-        if vdot(p.omega, r.coords) == 0:
-            level = vdot(p.beta, r.coords)
-            if level.denominator == 1:
-                return r, int(level)
+        if vdot(on, r.coords) == 0:
+            level, rem = divmod(vdot(bn, r.coords), bd)
+            if rem == 0:
+                return r, level
     return None
 
 

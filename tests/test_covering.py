@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -39,6 +40,7 @@ from stabwalk import (
     theta,
     word,
 )
+from stabwalk.cli import main as cli_main
 
 
 def _pt(beta, omega):
@@ -237,7 +239,7 @@ def test_start_state_validation():
         lift_path(lat, [base], LiftState(lat, base, base, stack, affine_identity(1)))
 
 
-def test_default_start_is_validated_once(monkeypatch):
+def test_default_start_is_validated_once(monkeypatch, tmp_path, capsys):
     calls = Counter()
 
     def counting(name):
@@ -261,6 +263,12 @@ def test_default_start_is_validated_once(monkeypatch):
     calls.clear()
     strip_chamber_census(lat)  # eight lifts through two breakpoints each
     assert calls == {"_validate_state": 8, "in_complement": 24}
+    calls.clear()
+    graph = tmp_path / "a2.json"
+    graph.write_text(json.dumps({"n_curves": 2, "edges": [[1, 2]]}))
+    assert cli_main(["plot", "--graph", str(graph), "--meridian", "0"]) == 0
+    assert capsys.readouterr().out.startswith("<svg")
+    assert calls == {"_validate_state": 1, "in_complement": 5}
 
 
 def test_simultaneous_crossing_rejected():

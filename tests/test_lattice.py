@@ -8,14 +8,20 @@ import pytest
 
 from stabwalk import (
     CapExceeded,
+    ComplexDivisor,
     DimensionMismatch,
+    Flop,
+    IndexOutOfRange,
     NotARoot,
     NotATree,
     NotNegativeDefinite,
     build_graph,
     build_lattice,
     chain_lattice,
+    classify,
     lattice_from_edges,
+    theta,
+    word,
 )
 from stabwalk.lattice import RootLattice
 from stabwalk.linalg import identity_mat, mat_mul, mat_vec, transpose
@@ -204,12 +210,30 @@ def test_each_generator_builds_one_reflection_matrix(monkeypatch):
         calls.append(i)
         return real(self, i)
     monkeypatch.setattr(RootLattice, "reflection_mat", counting)
-    assert len(d4_lattice().enumerate_weyl()) == 192
+    lat = d4_lattice()
+    w = (1, 2, 3, 1, 4, 2)
+    assert lat.weyl_from_word(w).word == w
+    assert sorted(calls) == [1, 2, 3, 4]
+    theta(lat, word(Flop(i) for i in w))
+    classify(lat, ComplexDivisor((Fraction(1, 2),) * 4, (-1, -2, 3, -5)))
+    assert len(lat.enumerate_weyl()) == 192
+    # each generator is cached on its lattice: one matrix per curve in all
     assert sorted(calls) == [1, 2, 3, 4]
     calls.clear()
-    w = (1, 2, 3, 1, 4, 2)
-    assert d4_lattice().weyl_from_word(w).word == w
-    assert calls == list(w)
+    assert len(d4_lattice().enumerate_weyl()) == 192
+    assert sorted(calls) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("i", [0, -1, 5])
+def test_curve_index_out_of_range(i):
+    lat = d4_lattice()
+    msg = rf"^curve index {i} not in 1\.\.4$"
+    with pytest.raises(IndexOutOfRange, match=msg):
+        lat.generator(i)
+    with pytest.raises(IndexOutOfRange, match=msg):
+        lat.weyl_from_word((1, i))
+    with pytest.raises(IndexOutOfRange, match=msg):
+        theta(lat, word((Flop(1), Flop(i))))
 
 
 def test_weyl_cap():

@@ -163,6 +163,17 @@ def test_classify_forbidden_before_walls():
     assert lab.root.coords == (1, 0)
 
 
+def test_classify_forbidden_at_negative_level():
+    lat = a2()
+    lab = classify(lat, _pt([Fraction(-5, 3), Fraction(-4, 3)], [1, -1]))
+    assert lab == Forbidden(lat.positive_roots()[-1], -3)
+    assert lab.root.coords == (1, 1)
+    # beta . (1, 1) = -8/3 is not integral, so the wall point is allowed
+    p = _pt([Fraction(-5, 3), -1], [1, -1])
+    assert in_complement(lat, p)
+    assert isinstance(classify(lat, p), WallStrip)
+
+
 def test_framed_point_rejects_forbidden():
     lat = n1()
     p = _pt([0], [0])
