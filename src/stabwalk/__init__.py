@@ -52,7 +52,6 @@ from .errors import (
     ForbiddenStratum,
     IndexOutOfRange,
     NonGenericCrossing,
-    NotARoot,
     NotATree,
     NotEncirclable,
     NotNegativeDefinite,

@@ -321,6 +321,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _fail(exc, EXIT_DOMAIN)
     except (OSError, ValueError, argparse.ArgumentError) as exc:
         return _fail(exc, EXIT_PARSE)
+    except Exception as exc:  # an internal error still ends in one JSON object
+        return _fail(exc, EXIT_DOMAIN)
 
     if isinstance(payload, str):
         _write(payload, args.out)

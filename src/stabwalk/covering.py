@@ -343,17 +343,21 @@ def meridian(lat: RootLattice, i: int, k: int,
 
 EQUAL = "equal"
 DISTINCT = "distinct"
+# frames equal up to a right twist, stacks distinct: undecided
 THETA_EQUAL_WORD_DISTINCT = "theta_equal_word_distinct"
 
 
 def same_chamber(a: LiftState, b: LiftState) -> str:
     """Compare the chambers of two lift states over the same base.
 
-    Identical reduced stacks mean the same chamber.  Distinct stacks
-    with distinct frames mean distinct chambers.  Distinct stacks with
-    equal frames are genuinely distinct only when the base fundamental
-    group is free, which holds at rank one; otherwise the honest answer
-    is the three-valued verdict.
+    Identical reduced stacks mean the same chamber.  A chamber fixes the
+    Weyl element of its model, the linear part of its frame, so distinct
+    linear parts mean distinct chambers.  Frames of one chamber may still
+    differ by a right twist, which changes only the translation part, so
+    distinct stacks whose frames are equal up to a right twist are
+    genuinely distinct only when the base fundamental group is free,
+    which holds at rank one; otherwise the honest answer is the
+    three-valued verdict.
     """
     if a.lattice is not b.lattice and a.lattice != b.lattice:
         raise BaseMismatch("states live over different lattices")
@@ -363,7 +367,7 @@ def same_chamber(a: LiftState, b: LiftState) -> str:
         return EQUAL
     if a.lattice.n == 1:
         return DISTINCT
-    if a.theta != b.theta:
+    if a.theta.linear != b.theta.linear:
         return DISTINCT
     return THETA_EQUAL_WORD_DISTINCT
 

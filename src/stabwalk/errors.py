@@ -19,10 +19,6 @@ class DimensionMismatch(StabwalkError):
     """Vector or matrix sizes do not match the lattice rank."""
 
 
-class NotARoot(StabwalkError):
-    """A reflection was requested at a vector of self-pairing != -2."""
-
-
 class CapExceeded(StabwalkError):
     """Group enumeration exceeded the caller-supplied element cap."""
 

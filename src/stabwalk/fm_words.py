@@ -11,7 +11,9 @@ with zero translation part, a normalization pinned down by boundary
 matching of adjacent chambers.  Flops are involutions and a twist is
 undone by the opposite twist, so the shadow of the inverted word is the
 inverse of the shadow; that is how every inverse in the package is
-taken.
+taken.  The shadow is computed without matrix products: its linear part
+is the dual matrix of the word's flops, and its translation part runs
+each twist through the flops to its left, one sparse coreflection each.
 """
 
 from __future__ import annotations
@@ -123,19 +125,23 @@ def affine_identity(n: int) -> AffineMap:
 
 
 def theta(lat: RootLattice, u: FMWord) -> AffineMap:
-    """Affine shadow of a word on divisor coordinates."""
-    acc = affine_identity(lat.n)
-    for g in u.gens:
+    """Affine shadow of a word on divisor coordinates.
+
+    The linear part is the dual matrix of the word's flops.  Reading the
+    word from the right carries each twist through the flops to its left.
+    """
+    flops, trans = [], (0,) * lat.n
+    for g in reversed(u.gens):
         if isinstance(g, Twist):
             if len(g.divisor) != lat.n:
                 raise DimensionMismatch("twist divisor size differs from rank")
-            step = AffineMap(identity_mat(lat.n), g.divisor)
+            trans = vadd(trans, g.divisor)
         elif isinstance(g, Flop):
-            step = AffineMap(lat.generator(g.curve).dual_mat, (0,) * lat.n)
+            trans = lat.coreflect(g.curve, trans)
+            flops.append(g.curve)
         else:
             raise TypeError(f"not a generator: {g!r}")
-        acc = acc.compose(step)
-    return acc
+    return AffineMap(lat.weyl_from_word(reversed(flops)).dual_mat, trans)
 
 
 def ch1_structure(lat: RootLattice, u: FMWord) -> IntVec:

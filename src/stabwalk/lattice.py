@@ -5,6 +5,12 @@ pairing has (e_i, e_i) = -2 and (e_i, e_j) = 1 exactly when the curves
 meet, and must be negative definite for the tree to come from an actual
 contraction.  Dual coordinates live in the divisor basis D_1..D_N with
 D_i . e_j given by the Kronecker delta, not by the gram form.
+
+The simple reflection s_i is one sparse step on either side, reflect on
+curve classes and coreflect on divisor coordinates, each touching curve
+i and its tree neighbours only.  A Weyl element is its word in simple
+reflections; every action, the root closure and the group enumeration
+run on those two steps, and matrices are built from the word on demand.
 """
 
 from __future__ import annotations
@@ -17,22 +23,10 @@ from .errors import (
     CapExceeded,
     DimensionMismatch,
     IndexOutOfRange,
-    NotARoot,
     NotATree,
     NotNegativeDefinite,
 )
-from .linalg import (
-    IntMat,
-    IntVec,
-    identity_mat,
-    leading_minors,
-    mat_mul,
-    mat_vec,
-    transpose,
-    vadd,
-    vdot,
-    vscale,
-)
+from .linalg import IntMat, IntVec, identity_mat, leading_minors, mat_vec, transpose, vdot
 
 WEYL_CAP_DEFAULT = 100_000
 
@@ -91,51 +85,65 @@ class Root:
 
 
 class WeylElement:
-    """Reflection group element, stored as its action on both sides.
+    """Reflection group element, stored as a word in simple reflections.
 
-    mat acts on curve classes (columns of mat are images of the e_i).
-    dual_mat is the action on divisor coordinates; it equals the transpose
-    of mat for a single reflection and extends multiplicatively, so for a
-    product it is the inverse transpose of mat.  word is a witness in
-    simple reflection indices, first letter outermost.
+    The first letter is outermost, w = s_w1 s_w2 ..., on both sides.
+    Every action runs the word through RootLattice.reflect or coreflect,
+    one sparse step per letter.  Equality and hashing use the key
+    w^-1 rho with rho = (1, ..., 1) in divisor coordinates: only the
+    identity fixes the regular rho, so the key determines w.  mat and
+    dual_mat are built from the word whenever they are asked for.
     """
 
-    __slots__ = ("n", "mat", "dual_mat", "word")
+    __slots__ = ("lattice", "word", "key")
 
-    def __init__(self, n: int, mat: IntMat, dual_mat: IntMat, word: Tuple[int, ...]):
-        self.n = n
-        self.mat = mat
-        self.dual_mat = dual_mat
+    def __init__(self, lattice: "RootLattice", word: Tuple[int, ...], key: IntVec):
+        self.lattice = lattice
         self.word = word
+        self.key = key
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, WeylElement) and self.mat == other.mat
+        return isinstance(other, WeylElement) and self.key == other.key
 
     def __hash__(self) -> int:
-        return hash(self.mat)
+        return hash(self.key)
 
     def __repr__(self) -> str:
-        return f"WeylElement(word={self.word}, mat={self.mat})"
+        return f"WeylElement(word={self.word})"
 
     @property
     def is_identity(self) -> bool:
-        return self.mat == identity_mat(self.n)
+        return self.key == (1,) * self.lattice.n
 
     def apply_dual(self, d: Sequence) -> tuple:
-        """Action on divisor-side coordinates."""
-        return mat_vec(self.dual_mat, d)
+        """Action on divisor coordinates: the last letter acts first."""
+        return self.lattice._coreflect_word(reversed(self.word), d)
 
     def apply_dual_inverse(self, d: Sequence) -> tuple:
-        # inverse of the dual action is plain transpose of mat
-        return mat_vec(transpose(self.mat), d)
+        """Inverse action on divisor coordinates: the first letter acts first."""
+        return self.lattice._coreflect_word(self.word, d)
+
+    @property
+    def mat(self) -> IntMat:
+        """Action on curve classes; column j is the image of e_j."""
+        cols = []
+        for x in identity_mat(self.lattice.n):
+            for i in reversed(self.word):
+                x = self.lattice.reflect(i, x)
+            cols.append(x)
+        return transpose(cols)
+
+    @property
+    def dual_mat(self) -> IntMat:
+        """Action on divisor coordinates, the inverse transpose of mat."""
+        return transpose([self.apply_dual(e) for e in identity_mat(self.lattice.n)])
 
     def compose(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(self.n, mat_mul(self.mat, other.mat),
-                           mat_mul(self.dual_mat, other.dual_mat), self.word + other.word)
+        return WeylElement(self.lattice, self.word + other.word,
+                           other.apply_dual_inverse(self.key))
 
     def inverse(self) -> "WeylElement":
-        return WeylElement(self.n, transpose(self.dual_mat), transpose(self.mat),
-                           self.word[::-1])
+        return self.lattice.weyl_from_word(self.word[::-1])
 
 
 @dataclass(frozen=True)
@@ -147,7 +155,7 @@ class RootLattice:
     def n(self) -> int:
         return self.graph.n_curves
 
-    # -- pairing and reflections -------------------------------------------
+    # -- pairing and simple reflections ------------------------------------
 
     def _coords(self, v) -> tuple:
         c = v.coords if isinstance(v, Root) else tuple(v)
@@ -159,88 +167,65 @@ class RootLattice:
         """Gram pairing of two curve-side vectors."""
         return vdot(self._coords(v), mat_vec(self.gram, self._coords(w)))
 
-    def is_root(self, v) -> bool:
-        c = self._coords(v)
-        if not all(isinstance(x, int) for x in c):
-            return False
-        if self.pairing(c, c) != -2:
-            return False
-        return all(x >= 0 for x in c) or all(x <= 0 for x in c)
+    @cached_property
+    def _neighbours(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(tuple(j for j, g in enumerate(row) if g == 1) for row in self.gram)
 
-    def _check_root(self, v) -> IntVec:
-        c = self._coords(v)
-        if not self.is_root(c):
-            raise NotARoot(f"{c} has self-pairing != -2 or mixed signs")
-        return c
+    def _index(self, i: int) -> int:
+        if not (1 <= i <= self.n):
+            raise IndexOutOfRange(f"curve index {i} not in 1..{self.n}")
+        return i - 1
 
-    def reflect(self, v, x) -> tuple:
-        """Reflection r_v(x) = x + (v, x) v on curve-side coordinates."""
-        c = self._check_root(v)
-        xs = self._coords(x)
-        return vadd(xs, vscale(self.pairing(c, xs), c))
+    def reflect(self, i: int, x: Sequence) -> tuple:
+        """Simple reflection s_i of a curve class, x + (e_i, x) e_i:
+        x_i -> -x_i + the sum of x_j over the tree neighbours j of curve i."""
+        k = self._index(i)
+        out = list(x)
+        out[k] = sum(x[j] for j in self._neighbours[k]) - x[k]
+        return tuple(out)
 
-    def coreflect(self, v, d) -> tuple:
-        """Dual reflection on divisor coordinates, adjoint to reflect.
+    def coreflect(self, i: int, d: Sequence) -> tuple:
+        """Simple reflection s_i of divisor coordinates, adjoint to reflect:
+        d_i -> -d_i, then d_j += d_i for each tree neighbour j of curve i."""
+        k = self._index(i)
+        out = list(d)
+        out[k] = -d[k]
+        for j in self._neighbours[k]:
+            out[j] += d[k]
+        return tuple(out)
 
-        Determined by coreflect(v, d) . x = d . reflect(v, x) for all x.
-        """
-        c = self._check_root(v)
-        ds = self._coords(d)
-        return vadd(ds, vscale(vdot(ds, c), mat_vec(self.gram, c)))
+    def _coreflect_word(self, word: Iterable[int], d: Sequence) -> tuple:
+        """Run d through coreflect once per letter, first letter first."""
+        d = tuple(d)
+        for i in word:
+            d = self.coreflect(i, d)
+        return d
 
-    # -- simple roots and reflection matrices ------------------------------
+    # -- Weyl elements -------------------------------------------------------
 
     def simple_root(self, i: int) -> Root:
-        if not (1 <= i <= self.n):
-            raise IndexOutOfRange(f"curve index {i} not in 1..{self.n}")
-        return Root(tuple(1 if j == i - 1 else 0 for j in range(self.n)))
-
-    def simple_roots(self) -> Tuple[Root, ...]:
-        return tuple(self.simple_root(i) for i in range(1, self.n + 1))
-
-    def reflection_mat(self, i: int) -> IntMat:
-        e = self.simple_root(i).coords
-        cols = [self.reflect(e, self.simple_root(j).coords)
-                for j in range(1, self.n + 1)]
-        return transpose(cols)
-
-    @cached_property
-    def _generators(self) -> Tuple[WeylElement, ...]:
-        mats = [self.reflection_mat(i) for i in range(1, self.n + 1)]
-        return tuple(WeylElement(self.n, m, transpose(m), (i,))
-                     for i, m in enumerate(mats, 1))
-
-    def generator(self, i: int) -> WeylElement:
-        """The simple reflection s_i, built once per lattice.
-
-        Every Weyl element is built from these.
-        """
-        if not (1 <= i <= self.n):
-            raise IndexOutOfRange(f"curve index {i} not in 1..{self.n}")
-        return self._generators[i - 1]
+        k = self._index(i)
+        return Root(tuple(1 if j == k else 0 for j in range(self.n)))
 
     def weyl_identity(self) -> WeylElement:
-        eye = identity_mat(self.n)
-        return WeylElement(self.n, eye, eye, ())
+        return self.weyl_from_word(())
 
-    def weyl_from_word(self, word: Sequence[int]) -> WeylElement:
+    def weyl_from_word(self, word: Iterable[int]) -> WeylElement:
         """Product of simple reflections, first letter outermost on both sides."""
-        w = self.weyl_identity()
-        for i in word:
-            w = w.compose(self.generator(i))
-        return w
+        word = tuple(word)
+        return WeylElement(self, word, self._coreflect_word(word, (1,) * self.n))
 
     # -- enumeration --------------------------------------------------------
 
     @cached_property
     def _root_closure(self) -> Tuple[Tuple[Root, ...], Tuple[Root, ...]]:
-        seen = {r.coords for r in self.simple_roots()}
+        seen = {self.simple_root(i).coords for i in range(1, self.n + 1)}
         frontier = list(seen)
         while frontier:
             nxt = []
             for v in frontier:
                 for i in range(1, self.n + 1):
-                    img = tuple(self.reflect(self.simple_root(i).coords, v))
+                    img = self.reflect(i, v)
                     if img not in seen:
                         seen.add(img)
                         nxt.append(img)
@@ -256,26 +241,23 @@ class RootLattice:
         return self._root_closure[1]
 
     def enumerate_weyl(self, cap: int = WEYL_CAP_DEFAULT) -> Tuple[WeylElement, ...]:
-        """Full reflection group by closure under the simple generators.
+        """Full reflection group, breadth-first over keys: the key of w s_i
+        is coreflect(i, key of w).
 
         Raises CapExceeded as soon as more than cap distinct elements appear.
         """
-        gens = self._generators
-        ident = self.weyl_identity()
-        seen = {ident.mat: ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for step in gens:
-                    prod = w.compose(step)
-                    if prod.mat not in seen:
-                        if len(seen) + 1 > cap:
-                            raise CapExceeded(f"more than {cap} elements")
-                        seen[prod.mat] = prod
-                        nxt.append(prod)
-            frontier = nxt
-        return tuple(seen.values())
+        rho = (1,) * self.n
+        words = {rho: ()}
+        queue = [rho]
+        for key in queue:  # read while it grows, so the search is breadth-first
+            for i in range(1, self.n + 1):
+                img = self.coreflect(i, key)
+                if img not in words:
+                    if len(words) + 1 > cap:
+                        raise CapExceeded(f"more than {cap} elements")
+                    words[img] = words[key] + (i,)
+                    queue.append(img)
+        return tuple(WeylElement(self, word, key) for key, word in words.items())
 
 
 def build_lattice(graph: DualGraph) -> RootLattice:

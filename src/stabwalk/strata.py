@@ -11,18 +11,21 @@ reads off one strip integer per vanishing coordinate.
 The forbidden test scans the positive roots on integer numerators: beta
 and omega are each put over one common denominator, so omega . v = 0 is
 an integer dot product and the level of beta . v is one divmod by
-beta's denominator.
+beta's denominator.  The descent into the fundamental cone also walks
+omega's integer numerators, one sparse coreflection per step, and frames
+beta through the resulting word only when some coordinate vanishes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .charge import ComplexDivisor, frame_point, strip_index
 from .errors import DimensionMismatch, OnWall
 from .lattice import Root, RootLattice, WeylElement
-from .linalg import Vec, common_denominator, to_vec, vdot
+from .linalg import IntVec, common_denominator, to_vec, vdot
 
 
 @dataclass(frozen=True)
@@ -96,24 +99,21 @@ def ample_test(lat: RootLattice, omega: Sequence) -> bool:
     return all(x > 0 for x in o)
 
 
-def _descend_to_dominant(lat: RootLattice, beta: Vec, omega: Vec):
-    """Walk (beta, omega) into the closed fundamental cone.
+def _descend_to_dominant(lat: RootLattice, o: IntVec):
+    """Walk the integer numerators o of omega into the closed fundamental cone.
 
-    Repeatedly coreflects at a simple root pairing strictly negatively
-    with omega.  Each step removes exactly one inversion, so the walk
-    stops after at most the number of positive roots, and the resulting
-    frame is the minimal one; coordinates that vanish are never touched.
+    Returns the frame and the framed numerators.  Repeatedly coreflects
+    at a simple root pairing strictly negatively with omega.  Each step
+    removes exactly one inversion, so the walk stops after at most the
+    number of positive roots, and the resulting frame is the minimal one;
+    coordinates that vanish are never touched.
     """
-    b, o = beta, omega
     word = []
-    guard = len(lat.positive_roots()) + 1
-    for _ in range(guard):
+    for _ in range(len(lat.positive_roots()) + 1):
         i = next((j + 1 for j, x in enumerate(o) if x < 0), None)
         if i is None:
-            return lat.weyl_from_word(word), b, o
-        e = lat.simple_root(i).coords
-        b = lat.coreflect(e, b)
-        o = lat.coreflect(e, o)
+            return lat.weyl_from_word(word), o
+        o = lat.coreflect(i, o)
         word.append(i)
     raise AssertionError("descent walk failed to terminate")
 
@@ -131,27 +131,30 @@ def locate_weyl_chamber(lat: RootLattice, omega: Sequence):
     on_wall = _forbidden_root(lat, ComplexDivisor((0,) * lat.n, o))
     if on_wall is not None:
         raise OnWall(f"omega pairs to zero with root {on_wall[0].coords}")
-    w, _, dom = _descend_to_dominant(lat, o, o)
-    return w, dom
+    on, od = common_denominator(o)
+    w, dom = _descend_to_dominant(lat, on)
+    return w, tuple(Fraction(x, od) for x in dom)
 
 
 def classify(lat: RootLattice, p: ComplexDivisor) -> StratumLabel:
     """Stratum label of a parameter point.
 
     Forbidden points are reported first, with the offending root.  For
-    the rest the point is framed into the closed fundamental cone; no
+    the rest omega is framed into the closed fundamental cone; no
     vanishing framed coordinate gives an open chamber, one gives a wall
-    strip, several give a deep stratum with one strip integer each.
+    strip, several give a deep stratum with one strip integer each, read
+    off beta framed through the same word.
     """
     if p.n != lat.n:
         raise DimensionMismatch("parameter size differs from lattice rank")
     forbidden = _forbidden_root(lat, p)
     if forbidden is not None:
         return Forbidden(*forbidden)
-    frame, fb, fo = _descend_to_dominant(lat, p.beta, p.omega)
+    frame, fo = _descend_to_dominant(lat, common_denominator(p.omega)[0])
     vanishing = tuple(j + 1 for j, x in enumerate(fo) if x == 0)
     if not vanishing:
         return AmpleChamber(frame)
+    fb = frame.apply_dual_inverse(p.beta)
     strips = tuple((i, strip_index(fb[i - 1])) for i in vanishing)
     if len(vanishing) == 1:
         return WallStrip(vanishing[0], strips[0][1], frame)

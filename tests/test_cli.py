@@ -274,3 +274,16 @@ def test_weyl_and_roots_commands(tmp_path, capsys):
     code, _, err = _run(capsys, ["weyl", "--graph", g, "--cap", "3"])
     assert code == 5
     assert json.loads(err)["error"] == "CapExceeded"
+
+
+@pytest.mark.parametrize("edges,command", [
+    (None, ["validate"]),
+    ([[1, 2]], ["charge", "--point", '{"beta": ["0", "0"], "omega": ["1", "1"]}',
+                "--kclass", '{"point_mult":1,"curve_mult":5}']),
+])
+def test_internal_error_prints_one_json_object(tmp_path, capsys, edges, command):
+    # both inputs raise a TypeError inside the package, not a domain error
+    code, out, err = _run(capsys, command + ["--graph", _graph(tmp_path, 2, edges)])
+    assert 1 <= code <= 5 and out == ""
+    assert len(err.splitlines()) == 1 and set(json.loads(err)) == {"error", "message"}
+    assert "Traceback" not in err

@@ -47,7 +47,9 @@ def test_shadow_of_flop_has_no_offset():
     for i in (1, 2, 3):
         t = theta(lat, word((Flop(i),)))
         assert t.trans == (0, 0, 0)
-        assert t.linear == lat.generator(i).dual_mat
+        # the dual reflection: transpose of R_i = I + e_i (row i of gram)
+        assert t.linear == tuple(tuple((r == c) + (lat.gram[i - 1][r] if c == i - 1 else 0)
+                                       for c in range(3)) for r in range(3))
 
 
 def test_double_flop_word_is_translation():

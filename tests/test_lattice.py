@@ -8,27 +8,30 @@ import pytest
 
 from stabwalk import (
     CapExceeded,
-    ComplexDivisor,
     DimensionMismatch,
     Flop,
     IndexOutOfRange,
-    NotARoot,
     NotATree,
     NotNegativeDefinite,
     build_graph,
     build_lattice,
     chain_lattice,
-    classify,
     lattice_from_edges,
     theta,
     word,
 )
-from stabwalk.lattice import RootLattice
 from stabwalk.linalg import identity_mat, mat_mul, mat_vec, transpose
 
 
 def d4_lattice():
     return lattice_from_edges(4, [(1, 2), (1, 3), (1, 4)])
+
+
+def dense_reflection(gram, i):
+    """Dense reference for s_i on curve classes: R_i = I + e_i (row i of gram)."""
+    n = len(gram)
+    return tuple(tuple((r == c) + (gram[i - 1][c] if r == i - 1 else 0) for c in range(n))
+                 for r in range(n))
 
 
 def brute_force_roots(lat, bound):
@@ -89,39 +92,33 @@ def test_pairing_values():
 
 def test_reflect_examples():
     lat1 = chain_lattice(1)
-    assert lat1.reflect((1,), (1,)) == (-1,)
+    assert lat1.reflect(1, (1,)) == (-1,)
     lat2 = chain_lattice(2)
-    assert lat2.reflect((1, 0), (0, 1)) == (1, 1)
+    assert lat2.reflect(1, (0, 1)) == (1, 1)
     rng = random.Random(7)
     for _ in range(20):
         x = tuple(rng.randrange(-4, 5) for _ in range(2))
-        for r in lat2.enumerate_roots():
-            assert lat2.reflect(r.coords, lat2.reflect(r.coords, x)) == x
-
-
-def test_reflect_rejects_non_roots():
-    lat = chain_lattice(2)
-    with pytest.raises(NotARoot):
-        lat.reflect((2, 0), (1, 0))
-    with pytest.raises(NotARoot):
-        lat.reflect((1, -1), (1, 0))  # mixed signs
+        for i in (1, 2):
+            assert lat2.reflect(i, lat2.reflect(i, x)) == x
+            assert lat2.reflect(i, x) == mat_vec(dense_reflection(lat2.gram, i), x)
 
 
 def test_coreflect_examples():
     lat1 = chain_lattice(1)
-    assert lat1.coreflect((1,), (1,)) == (-1,)
+    assert lat1.coreflect(1, (1,)) == (-1,)
     lat2 = chain_lattice(2)
-    assert lat2.coreflect((1, 0), (0, 1)) == (0, 1)
+    assert lat2.coreflect(1, (0, 1)) == (0, 1)
+    lat = d4_lattice()
     rng = random.Random(11)
     for _ in range(20):
-        d = tuple(Fraction(rng.randrange(-6, 7), rng.choice((1, 2, 3))) for _ in range(2))
-        x = tuple(rng.randrange(-4, 5) for _ in range(2))
-        for r in lat2.enumerate_roots():
-            v = r.coords
-            assert lat2.coreflect(v, lat2.coreflect(v, d)) == d
+        d = tuple(Fraction(rng.randrange(-6, 7), rng.choice((1, 2, 3))) for _ in range(4))
+        x = tuple(rng.randrange(-4, 5) for _ in range(4))
+        for i in (1, 2, 3, 4):
+            assert lat.coreflect(i, lat.coreflect(i, d)) == d
+            assert lat.coreflect(i, d) == mat_vec(transpose(dense_reflection(lat.gram, i)), d)
             # adjointness against the curve-side reflection
-            lhs = sum(a * b for a, b in zip(lat2.coreflect(v, d), x))
-            rhs = sum(a * b for a, b in zip(d, lat2.reflect(v, x)))
+            lhs = sum(a * b for a, b in zip(lat.coreflect(i, d), x))
+            rhs = sum(a * b for a, b in zip(d, lat.reflect(i, x)))
             assert lhs == rhs
 
 
@@ -189,39 +186,18 @@ def test_weyl_generator_dual_is_transpose():
     for i in (1, 2):
         r = lat.weyl_from_word((i,))
         assert r.dual_mat == transpose(r.mat)
-        assert r.mat == lat.reflection_mat(i)
-        assert lat.generator(i).dual_mat == transpose(lat.reflection_mat(i))
+        assert r.mat == dense_reflection(lat.gram, i)
 
 
 def test_reflection_mat_acts_like_reflect():
-    lat = chain_lattice(3)
-    for i in (1, 2, 3):
-        m = lat.reflection_mat(i)
-        e = lat.simple_root(i).coords
-        for x in ((1, 0, 0), (0, 1, 0), (2, -1, 3)):
-            assert mat_vec(m, x) == lat.reflect(e, x)
-
-
-def test_each_generator_builds_one_reflection_matrix(monkeypatch):
-    calls = []
-    real = RootLattice.reflection_mat
-
-    def counting(self, i):
-        calls.append(i)
-        return real(self, i)
-    monkeypatch.setattr(RootLattice, "reflection_mat", counting)
     lat = d4_lattice()
-    w = (1, 2, 3, 1, 4, 2)
-    assert lat.weyl_from_word(w).word == w
-    assert sorted(calls) == [1, 2, 3, 4]
-    theta(lat, word(Flop(i) for i in w))
-    classify(lat, ComplexDivisor((Fraction(1, 2),) * 4, (-1, -2, 3, -5)))
-    assert len(lat.enumerate_weyl()) == 192
-    # each generator is cached on its lattice: one matrix per curve in all
-    assert sorted(calls) == [1, 2, 3, 4]
-    calls.clear()
-    assert len(d4_lattice().enumerate_weyl()) == 192
-    assert sorted(calls) == [1, 2, 3, 4]
+    for i in (1, 2, 3, 4):
+        m = dense_reflection(lat.gram, i)
+        for x in ((1, 0, 0, 0), (0, 1, 0, 0), (2, -1, 3, 1)):
+            assert mat_vec(m, x) == lat.reflect(i, x)
+        # reflections of roots are roots
+        for r in lat.enumerate_roots():
+            assert lat.pairing(lat.reflect(i, r.coords), lat.reflect(i, r.coords)) == -2
 
 
 @pytest.mark.parametrize("i", [0, -1, 5])
@@ -229,7 +205,9 @@ def test_curve_index_out_of_range(i):
     lat = d4_lattice()
     msg = rf"^curve index {i} not in 1\.\.4$"
     with pytest.raises(IndexOutOfRange, match=msg):
-        lat.generator(i)
+        lat.reflect(i, (1, 0, 0, 0))
+    with pytest.raises(IndexOutOfRange, match=msg):
+        lat.coreflect(i, (1, 0, 0, 0))
     with pytest.raises(IndexOutOfRange, match=msg):
         lat.weyl_from_word((1, i))
     with pytest.raises(IndexOutOfRange, match=msg):
@@ -250,3 +228,28 @@ def test_weyl_closed_under_composition():
             ab = a.compose(b)
             assert ab in group and ab == lat.weyl_from_word(a.word + b.word)
             assert ab.mat == mat_mul(a.mat, b.mat)
+
+
+def dynkin_lattice(t):
+    """The tree of Dynkin type t: a chain, with D_n and E_n branching at n-2 and 3."""
+    kind, n = t[0], int(t[1:])
+    if kind == "A":
+        return chain_lattice(n)
+    branch = n - 2 if kind == "D" else 3
+    return lattice_from_edges(n, [(i, i + 1) for i in range(1, n - 1)] + [(branch, n)])
+
+
+ALL_TYPES = ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "D4", "D5", "E6", "E7", "E8"]
+
+
+@pytest.mark.parametrize("t", ALL_TYPES)
+def test_root_count_matches_sympy(t):
+    root_system = pytest.importorskip("sympy.liealgebras.root_system")
+    assert len(dynkin_lattice(t).enumerate_roots()) == len(root_system.RootSystem(t).all_roots())
+
+
+@pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"])
+def test_weyl_order_matches_sympy(t):
+    weyl_group = pytest.importorskip("sympy.liealgebras.weyl_group")
+    # sympy returns an mpf for the A and D types
+    assert len(dynkin_lattice(t).enumerate_weyl()) == int(weyl_group.WeylGroup(t).group_order())

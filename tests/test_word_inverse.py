@@ -1,13 +1,17 @@
 """The inverse of a word's shadow is the shadow of the inverted word.
 
 No module of the package inverts a matrix by elimination: affine frames
-are inverted by inverting their words, and Weyl elements by transposing
-their two matrices.  These properties check both against the forward
-maps on random twist/flop words over four ADE trees, and check that two
-words of one Weyl element give one element.
+and Weyl elements alike are inverted by inverting their words.  These
+properties check both against the forward maps on random twist/flop
+words over four ADE trees, check that two words of one Weyl element give
+one element, and check every action of a Weyl element, which runs its
+word one sparse step per letter, against products of dense reflection
+matrices built from the gram.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 
@@ -21,7 +25,7 @@ from stabwalk import (
     theta,
     word,
 )
-from stabwalk.linalg import identity_mat, mat_mul, transpose
+from stabwalk.linalg import identity_mat, mat_mul, mat_vec, transpose
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -42,7 +46,15 @@ def lattice_and_word(draw):
     u = word(draw(st.lists(st.one_of(twist, flop), max_size=12)))
     i = draw(st.integers(1, lat.n))
     j = draw(st.integers(1, lat.n).filter(lambda x: x != i))
-    return lat, u, (draw(st.integers(0, len(u))), i, j)
+    d = draw(st.tuples(*[st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))] * lat.n))
+    return lat, u, (draw(st.integers(0, len(u))), i, j), d
+
+
+def dense_reflection(gram, i):
+    """Dense reference for s_i on curve classes: R_i = I + e_i (row i of gram)."""
+    n = len(gram)
+    return tuple(tuple((r == c) + (gram[i - 1][c] if r == i - 1 else 0) for c in range(n))
+                 for r in range(n))
 
 
 def braid_pair(lat, i, j):
@@ -63,7 +75,7 @@ def test_braid_related_words_are_one_element(lat, i, j):
 @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
 @hypothesis.given(lattice_and_word())
 def test_inverse_is_the_inverted_word(case):
-    lat, u, (cut, i, j) = case
+    lat, u, (cut, i, j), _ = case
     eye = identity_mat(lat.n)
     t, t_inv = theta(lat, u), theta(lat, invert(u))
     assert t.compose(t_inv).is_identity and t_inv.compose(t).is_identity
@@ -81,3 +93,20 @@ def test_inverse_is_the_inverted_word(case):
     # either side of a braid relation spliced into the word gives one element
     a, b = (lat.weyl_from_word(w.word[:cut] + p + w.word[cut:]) for p in braid_pair(lat, i, j))
     assert a == b and hash(a) == hash(b) and a.mat == b.mat
+
+
+@hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
+@hypothesis.given(lattice_and_word())
+def test_sparse_actions_match_dense_products(case):
+    lat, u, _, d = case
+    w = model_of(lat, u)
+    eye = identity_mat(lat.n)
+    mat, dual = eye, eye
+    for i in w.word:  # first letter outermost on both sides
+        mat = mat_mul(mat, dense_reflection(lat.gram, i))
+        dual = mat_mul(dual, transpose(dense_reflection(lat.gram, i)))
+    assert w.mat == mat and w.dual_mat == dual
+    assert w.apply_dual(d) == mat_vec(dual, d)
+    # the inverse of the dual action is the transpose of mat
+    assert w.apply_dual_inverse(d) == mat_vec(transpose(mat), d)
+    assert w.key == mat_vec(transpose(mat), (1,) * lat.n)
