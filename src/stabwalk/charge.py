@@ -143,8 +143,10 @@ def central_charge(p: ComplexDivisor, c: KClass) -> ExactComplex:
     """Charge of a compactly supported class at a stability parameter."""
     if p.n != c.n:
         raise DimensionMismatch("parameter and class sizes differ")
-    return ExactComplex(-c.point_mult + vdot(p.beta, c.curve_mult),
-                        vdot(p.omega, c.curve_mult))
+    # generator classes have one nonzero curve multiplicity; skip the zero terms
+    terms = [(j, m) for j, m in enumerate(c.curve_mult) if m]
+    return ExactComplex(-c.point_mult + sum(p.beta[j] * m for j, m in terms),
+                        sum(p.omega[j] * m for j, m in terms))
 
 
 def euler_pairing(e: AmbientClass, c: KClass) -> int:

@@ -8,10 +8,10 @@ as a word of crossing generators.  Framing the moving point through
 theta keeps its omega strictly positive between crossings, so crossings
 are exactly the sign changes of framed simple coordinates, found by
 solving linear equations in the segment parameter, with no rounding.
-The scans run on integer numerators: each segment's start omega and its
-direction are put over one common denominator once, framed by the
-integer frame matrix, and a crossing time is one fraction of integer
-products; only the event points themselves are built as fractions.
+The scans run on integer numerators: each segment's start point and its
+direction are put over one common denominator and framed by the integer
+frame matrix once, and a crossing time is one fraction of two framed
+numerators; only the event points themselves are built as fractions.
 
 Crossing the frame wall (i, k) appends the generator
 
@@ -26,10 +26,14 @@ chamber would otherwise drift by right twists, which do not move the
 chamber.
 
 A lift keeps one frame pair (theta, theta^-1) per prefix of the stack,
-built once from the start state's stack.  A push appends the pair one
-crossing longer, with theta^-1 taken from the inverted word of gamma; a
-pop drops the last pair, so going back to the previous frame costs
-nothing and no frame is ever rebuilt or inverted.
+built once from the start state's stack.  The shadow of gamma_(i, k) is
+d -> s_i d + k e_i, so a push needs no product: theta's rows are each
+reflected at curve i and its translation gains k times its column i,
+while theta^-1's columns are each coreflected at curve i and its
+translation t becomes s_i (t - k e_i).  A pop drops the last pair, so
+no frame is ever rebuilt or inverted.  The segment's framed numerators
+follow the frame the same way: s_i is an involution, so a push and a
+pop at curve i both coreflect them once.
 """
 
 from __future__ import annotations
@@ -54,12 +58,11 @@ from .fm_words import (
     Twist,
     affine_identity,
     compose,
-    invert,
     theta,
     word,
 )
 from .lattice import RootLattice
-from .linalg import common_denominator, vadd, vdot, vscale, vsub
+from .linalg import common_denominator, transpose, vdot
 from .strata import in_complement
 
 
@@ -121,10 +124,37 @@ def stack_theta(lat: RootLattice, stack: Sequence[Crossing]) -> AffineMap:
 
 
 def _push_frame(lat: RootLattice, frames: List[Tuple[AffineMap, AffineMap]], c: Crossing):
-    """Append the frame pair (theta, theta^-1) one crossing beyond the last."""
-    g = crossing_generator(lat, c.curve, c.strip)
+    """Append the frame pair (theta, theta^-1) one crossing beyond the last.
+
+    theta . theta(gamma_(i, k)) is d -> L s_i d + t + k L e_i: every row of
+    L is reflected at curve i and the translation gains k times column i
+    of L.  theta(gamma_(i, k))^-1 . theta^-1 is d -> s_i (M d + u - k e_i):
+    every column of M, and u - k e_i, is coreflected at curve i.
+    """
+    i, k = c.curve, c.strip
     th, th_inv = frames[-1]
-    frames.append((th.compose(theta(lat, g)), theta(lat, invert(g)).compose(th_inv)))
+    linear = tuple(lat.reflect(i, row) for row in th.linear)
+    trans = tuple(t + k * row[i - 1] for t, row in zip(th.trans, th.linear))
+    inv_linear = transpose([lat.coreflect(i, col) for col in transpose(th_inv.linear)])
+    inv_trans = lat.coreflect(i, tuple(u - k if j == i - 1 else u
+                                       for j, u in enumerate(th_inv.trans)))
+    frames.append((AffineMap(linear, trans), AffineMap(inv_linear, inv_trans)))
+
+
+def _numerators(v0: tuple, v1: tuple) -> Tuple[tuple, tuple, int]:
+    """Integer numerators of v0 and of v1 - v0 over one positive denominator."""
+    nums, d = common_denominator(v0 + v1)
+    n = len(v0)
+    return nums[:n], tuple(b - a for a, b in zip(nums, nums[n:])), d
+
+
+def _along(x0: Sequence[int], dx: Sequence[int], d: int, s: Fraction,
+           shift: Optional[Sequence[int]] = None) -> tuple:
+    """(x0 + s dx) / d + shift, coordinatewise, from integer numerators."""
+    p, q = s.numerator, s.denominator
+    den = d * q
+    shift = shift or (0,) * len(x0)
+    return tuple(Fraction(a * q + p * b + c * den, den) for a, b, c in zip(x0, dx, shift))
 
 
 def _fundamental_start(lat: RootLattice, base: Optional[ComplexDivisor] = None) -> LiftState:
@@ -190,25 +220,23 @@ def lift_path(lat: RootLattice, path: Sequence[ComplexDivisor],
         p0, p1 = pts[seg], pts[seg + 1]
         if p0 == p1:
             continue
-        dbeta = vsub(p1.beta, p0.beta)
-        domega = vsub(p1.omega, p0.omega)
-        on, od = common_denominator(p0.omega)
-        dn, dd = common_denominator(domega)
+        # start and direction over one denominator, then framed by the
+        # current theta^-1: the framed omega at time s is (fw0 + s fdw) / wd
+        b0, db, bd = _numerators(p0.beta, p1.beta)
+        w0, dw, wd = _numerators(p0.omega, p1.omega)
+        framed_nums = [frames[-1][1].apply_linear(x) for x in (b0, db, w0, dw)]
         t = Fraction(0)
         for _ in range(max_events):
-            th_inv = frames[-1][1]
-            # framed omega along the segment is a0 / od + s b / dd, coordinatewise
-            a0 = th_inv.apply_linear(on)
-            b = th_inv.apply_linear(dn)
-            for j in range(lat.n):
-                if b[j] == 0 and a0[j] == 0:
+            fb0, fdb, fw0, fdw = framed_nums
+            hits = []
+            for j, (a, b) in enumerate(zip(fw0, fdw)):
+                if a == 0 and b == 0:
                     raise NonGenericCrossing(
                         f"segment {seg} runs inside the wall of curve {j + 1}")
-            hits = []
-            for j in range(lat.n):
-                if b[j] != 0:
-                    s = Fraction(-a0[j] * dd, b[j] * od)
-                    if t < s <= 1:
+                # coordinate j vanishes at s = -a / b, wanted in (t, 1]
+                if a * b < 0 and abs(a) <= abs(b):
+                    s = Fraction(-a, b)
+                    if s > t:
                         hits.append((s, j + 1))
             if not hits:
                 break
@@ -222,10 +250,9 @@ def lift_path(lat: RootLattice, path: Sequence[ComplexDivisor],
                 raise NonGenericCrossing(
                     f"breakpoint after segment {seg} lies on a wall")
             s, i = at_min[0]
-            pos = ComplexDivisor(vadd(p0.beta, vscale(s, dbeta)),
-                                 vadd(p0.omega, vscale(s, domega)))
-            framed = ComplexDivisor(th_inv.apply(pos.beta),
-                                    th_inv.apply_linear(pos.omega))
+            pos = ComplexDivisor(_along(b0, db, bd, s), _along(w0, dw, wd, s))
+            framed = ComplexDivisor(_along(fb0, fdb, bd, s, frames[-1][1].trans),
+                                    _along(fw0, fdw, wd, s))
             fb = framed.beta[i - 1]
             if fb.denominator == 1:
                 raise PathHitsForbidden(
@@ -239,12 +266,12 @@ def lift_path(lat: RootLattice, path: Sequence[ComplexDivisor],
                 stack.append(Crossing(i, k))
                 _push_frame(lat, frames, stack[-1])
                 trace.append(TraceEvent(seg, s, i, k, "push", pos, framed))
+            framed_nums = [lat.coreflect(i, x) for x in framed_nums]
             t = s
         else:
             raise AssertionError("event scan failed to terminate")
         # segment end must be strictly inside the current chamber
-        end_framed = frames[-1][1].apply_linear(common_denominator(p1.omega)[0])
-        if 0 in end_framed:
+        if any(a + b == 0 for a, b in zip(framed_nums[2], framed_nums[3])):
             raise NonGenericCrossing(
                 f"breakpoint after segment {seg} lies on a wall")
 

@@ -7,6 +7,7 @@ over asymptotics.  No floating point anywhere.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple, Union
 
@@ -17,7 +18,8 @@ IntMat = Tuple[IntVec, ...]
 
 
 def to_vec(xs: Iterable[Scalar]) -> Vec:
-    return tuple(Fraction(x) for x in xs)
+    # a Fraction is immutable, so it is kept as it is rather than copied
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
 
 
 def common_denominator(v: Sequence[Scalar]) -> Tuple[IntVec, int]:
@@ -30,21 +32,13 @@ def vadd(a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vsub(a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vneg(a: Sequence[Scalar]) -> tuple:
     return tuple(-x for x in a)
 
 
-def vscale(c: Scalar, a: Sequence[Scalar]) -> tuple:
-    return tuple(c * x for x in a)
-
-
 def vdot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
     # plain coordinate pairing, used for the divisor/curve duality
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def identity_mat(n: int) -> IntMat:
@@ -52,7 +46,7 @@ def identity_mat(n: int) -> IntMat:
 
 
 def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> tuple:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+    return tuple(sum(map(operator.mul, row, v)) for row in m)
 
 
 def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> tuple:

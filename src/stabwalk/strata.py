@@ -73,8 +73,14 @@ StratumLabel = AmpleChamber | WallStrip | DeepStratum | Forbidden
 
 
 def _forbidden_root(lat: RootLattice, p: ComplexDivisor) -> Optional[Tuple[Root, int]]:
-    """First positive root with omega . v = 0 and beta . v integral, with that level."""
+    """First positive root with omega . v = 0 and beta . v integral, with that level.
+
+    A strictly positive omega pairs strictly positively with every
+    positive root, so it needs no scan.
+    """
     on, _ = common_denominator(p.omega)
+    if all(x > 0 for x in on):
+        return None
     bn, bd = common_denominator(p.beta)
     for r in lat.positive_roots():
         if vdot(on, r.coords) == 0:

@@ -1,8 +1,15 @@
 """Build the golden CLI corpus, tests/golden/corpus.json.
 
-Run from the repository root, with no arguments:
+Run from the repository root, with no arguments, to rewrite the corpus:
 
     python3 tests/golden/make_corpus.py
+
+or with --check to rebuild it in memory and compare, writing nothing:
+
+    python3 tests/golden/make_corpus.py --check
+
+--check exits 0 when the rebuilt corpus equals corpus.json byte for byte,
+and 1 with the id of the first differing case otherwise.
 
 Every case is one `stabwalk` invocation: its argv, the graph, point and
 path files it reads (stored inline, by file name), and the exact stdout,
@@ -20,6 +27,7 @@ purpose, and list the changed cases with the change.
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 import tempfile
@@ -142,7 +150,8 @@ def build_cases() -> list:
     return cases
 
 
-def write_corpus() -> None:
+def run_corpus() -> list:
+    """Every case with the exit code, stdout and stderr it produces now."""
     cases = build_cases()
     ids = [c["id"] for c in cases]
     if len(set(ids)) != len(ids):
@@ -155,10 +164,47 @@ def write_corpus() -> None:
             if tmp in stdout or tmp in stderr:
                 raise SystemExit(f"{c['id']}: output depends on the file location")
             c.update(exit=code, stdout=stdout, stderr=stderr)
-    OUT.write_text(json.dumps(cases, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return cases
+
+
+def corpus_text(cases: list) -> str:
+    return json.dumps(cases, indent=1, sort_keys=True) + "\n"
+
+
+def write_corpus() -> None:
+    cases = run_corpus()
+    OUT.write_text(corpus_text(cases), encoding="utf-8")
     codes = sorted({c["exit"] for c in cases})
     print(f"{len(cases)} cases, exit codes {codes}, {OUT.stat().st_size} bytes")
 
 
-if __name__ == "__main__":
+def check_corpus() -> int:
+    """0 when the rebuilt corpus equals corpus.json; else 1, naming a case."""
+    cases = run_corpus()
+    text = OUT.read_text(encoding="utf-8")
+    if corpus_text(cases) == text:
+        print(f"{len(cases)} cases match {OUT.name}")
+        return 0
+    stored = json.loads(text)
+    for i in range(max(len(cases), len(stored))):
+        new = cases[i] if i < len(cases) else None
+        old = stored[i] if i < len(stored) else None
+        if new != old:
+            print(f"first differing case: {(new or old)['id']}", file=sys.stderr)
+            return 1
+    print(f"{OUT.name} differs only in layout", file=sys.stderr)
+    return 1
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Build the golden CLI corpus.")
+    parser.add_argument("--check", action="store_true",
+                        help="rebuild in memory and compare with corpus.json; write nothing")
+    if parser.parse_args(argv).check:
+        return check_corpus()
     write_corpus()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -40,6 +40,22 @@ def test_point_class_is_normalized():
             assert (z.re, z.im) == (-1, 0)
 
 
+def test_charge_equals_the_full_dot_product():
+    rng = random.Random(17)
+    for n in (1, 2, 4, 8):
+        classes = [point_class(n), KClass(0, (0,) * n), fiber_class(n)]
+        classes += [KClass(rng.randrange(-3, 4),
+                           tuple(rng.choice((0, 0, 0, -2, -1, 1, 3)) for _ in range(n)))
+                    for _ in range(20)]
+        for c in classes:
+            p = rand_point(rng, n)
+            z = central_charge(p, c)
+            ref = ExactComplex(-c.point_mult + sum(b * m for b, m in zip(p.beta, c.curve_mult)),
+                               sum(o * m for o, m in zip(p.omega, c.curve_mult)))
+            assert z == ref and type(z.re) is Fraction and type(z.im) is Fraction
+    assert central_charge(rand_point(rng, 3), KClass(0, (0, 0, 0))).is_zero
+
+
 def test_charge_formula_examples():
     p = ComplexDivisor((Fraction(1, 2),), (Fraction(1),))
     z = central_charge(p, curve_class(1, 1))

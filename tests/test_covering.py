@@ -271,6 +271,37 @@ def test_default_start_is_validated_once(monkeypatch, tmp_path, capsys):
     assert calls == {"_validate_state": 1, "in_complement": 5}
 
 
+def test_push_builds_no_frame_from_identity(monkeypatch):
+    import stabwalk.fm_words as fm_words_mod
+    import stabwalk.linalg as linalg_mod
+
+    calls = Counter()
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((covering_mod, "theta"), (fm_words_mod, "theta"),
+                        (fm_words_mod.AffineMap, "compose"),
+                        (fm_words_mod, "mat_mul"), (linalg_mod, "mat_mul")):
+        counting(owner, name)
+    lat = lattice_from_edges(4, [(1, 2), (2, 3), (2, 4)])
+    beta = (Fraction(1, 7), Fraction(2, 11), Fraction(3, 13), Fraction(5, 17))
+    start = fundamental_state(lat, _pt(beta, [1, 1, 1, 1]))
+    far = _pt(beta, [-1, Fraction(-2, 3), Fraction(-3, 2), Fraction(-1, 2)])
+    end = lift_path(lat, [start.position, far, start.position], start)
+    actions = Counter(ev.action for ev in end.trace)
+    assert actions == {"push": 12, "pop": 12} and end.stack == ()
+    assert calls == {}
+    # the counters are live: the dense shadow does go through them
+    stack_theta(lat, (Crossing(1, 2), Crossing(3, 0))).compose(end.theta)
+    assert calls["theta"] == 1 and calls["compose"] == 1 and calls["mat_mul"] == 1
+
+
 def test_simultaneous_crossing_rejected():
     lat = chain_lattice(2)
     base = _pt([Fraction(1, 2), Fraction(1, 3)], [1, 1])

@@ -1,0 +1,105 @@
+"""The closed-form frames of lift_path equal the dense shadows of their stacks.
+
+A push of Crossing(i, k) updates the frame pair (theta, theta^-1) in closed
+form, and the event scan carries framed integer numerators through every
+push and pop.  The reference here is the shadow of the stack's word and of
+its inverted word, built from the identity by fm_words.theta, and the
+dense affine action of that inverse on each event point.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from stabwalk import (
+    ComplexDivisor,
+    Crossing,
+    NonGenericCrossing,
+    PathHitsForbidden,
+    affine_identity,
+    chain_lattice,
+    default_basepoint,
+    invert,
+    lattice_from_edges,
+    lift_path,
+    stack_theta,
+    stack_word,
+    theta,
+)
+from stabwalk.covering import _push_frame
+
+LATTICES = {
+    "A3": chain_lattice(3),
+    "D4": lattice_from_edges(4, [(1, 2), (2, 3), (2, 4)]),
+    "E6": lattice_from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]),
+    "E8": lattice_from_edges(8, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)]),
+}
+
+
+def dense_pair(lat, stack):
+    return stack_theta(lat, stack), theta(lat, invert(stack_word(lat, stack)))
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_push_and_pop_match_the_dense_shadow(name):
+    lat = LATTICES[name]
+    rng = random.Random(f"frames-{name}")
+    ident = affine_identity(lat.n)
+    for _ in range(4):
+        stack, frames = [], [(ident, ident)]
+        for _ in range(24):
+            if stack and rng.random() < 0.35:
+                stack.pop()
+                frames.pop()
+            else:
+                stack.append(Crossing(rng.randint(1, lat.n), rng.randint(-3, 3)))
+                _push_frame(lat, frames, stack[-1])
+            th, th_inv = frames[-1]
+            assert (th, th_inv) == dense_pair(lat, stack)
+            assert th.compose(th_inv) == ident and th_inv.compose(th) == ident
+            assert len(frames) == len(stack) + 1
+
+
+def random_point(rng, n):
+    return ComplexDivisor(tuple(Fraction(rng.randrange(-16, 17), rng.randrange(2, 9))
+                                for _ in range(n)),
+                          tuple(Fraction(rng.randrange(-8, 13), rng.randrange(1, 5))
+                                for _ in range(n)))
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_framed_event_points_match_dense_frames(name):
+    lat = LATTICES[name]
+    rng = random.Random(f"events-{name}")
+    lifted = events = pops = 0
+    while lifted < 6:
+        base = default_basepoint(lat)
+        out = [random_point(rng, lat.n) for _ in range(2)]
+        # out and back again, so the return trip pops what the way out pushed
+        pts = [base] + out + out[-2::-1] + [base]
+        try:
+            end = lift_path(lat, pts)
+        except (NonGenericCrossing, PathHitsForbidden):
+            continue
+        lifted += 1
+        stack = []
+        for ev in end.trace:
+            p0, p1 = pts[ev.segment], pts[ev.segment + 1]
+            assert ev.point == ComplexDivisor(
+                tuple(a + ev.time * (b - a) for a, b in zip(p0.beta, p1.beta)),
+                tuple(a + ev.time * (b - a) for a, b in zip(p0.omega, p1.omega)))
+            inv = theta(lat, invert(stack_word(lat, stack)))
+            assert ev.framed == ComplexDivisor(inv.apply(ev.point.beta),
+                                               inv.apply_linear(ev.point.omega))
+            if ev.action == "push":
+                stack.append(Crossing(ev.curve, ev.strip))
+            else:
+                assert stack.pop().curve == ev.curve
+                pops += 1
+            events += 1
+        assert tuple(stack) == end.stack
+        assert end.theta == stack_theta(lat, stack)
+    assert events > 0 and pops > 0
