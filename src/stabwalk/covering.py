@@ -8,10 +8,10 @@ as a word of crossing generators.  Framing the moving point through
 theta keeps its omega strictly positive between crossings, so crossings
 are exactly the sign changes of framed simple coordinates, found by
 solving linear equations in the segment parameter, with no rounding.
-The scans run on integer numerators: each segment's start point and its
-direction are put over one common denominator and framed by the integer
-frame matrix once, and a crossing time is one fraction of two framed
-numerators; only the event points themselves are built as fractions.
+The scans run on integer numerators: each segment's start omega and its
+direction are put over one common denominator and framed once, and a
+crossing time is one fraction of two framed numerators; only the event
+points themselves are built as fractions.
 
 Crossing the frame wall (i, k) appends the generator
 
@@ -25,15 +25,14 @@ frame.  Chamber identity is the reduced stack; frames of the same
 chamber would otherwise drift by right twists, which do not move the
 chamber.
 
-A lift keeps one frame pair (theta, theta^-1) per prefix of the stack,
-built once from the start state's stack.  The shadow of gamma_(i, k) is
-d -> s_i d + k e_i, so a push needs no product: theta's rows are each
-reflected at curve i and its translation gains k times its column i,
-while theta^-1's columns are each coreflected at curve i and its
-translation t becomes s_i (t - k e_i).  A pop drops the last pair, so
-no frame is ever rebuilt or inverted.  The segment's framed numerators
-follow the frame the same way: s_i is an involution, so a push and a
-pop at curve i both coreflect them once.
+The stack is the lift's only record of its chamber.  The shadow of
+gamma_(i, k) is d -> s_i d + k e_i, so theta^-1 of a stack frames a
+point one crossing at a time, first crossing first, each step one
+sparse coreflection: theta(gamma_(i, k))^-1 d = s_i (d - k e_i).  The
+segment's framed omega numerators follow the stack the same way: s_i is
+an involution, so a push and a pop at curve i both coreflect them once.
+theta itself is built only by stack_theta, for the start check and the
+end state.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from .fm_words import (
     word,
 )
 from .lattice import RootLattice
-from .linalg import common_denominator, transpose, vdot
+from .linalg import common_denominator, vdot
 from .strata import in_complement
 
 
@@ -123,22 +122,18 @@ def stack_theta(lat: RootLattice, stack: Sequence[Crossing]) -> AffineMap:
     return theta(lat, stack_word(lat, stack))
 
 
-def _push_frame(lat: RootLattice, frames: List[Tuple[AffineMap, AffineMap]], c: Crossing):
-    """Append the frame pair (theta, theta^-1) one crossing beyond the last.
+def _unframe(lat: RootLattice, stack: Sequence[Crossing], d: tuple, den: int = 0) -> tuple:
+    """Numerators d over den run through theta^-1 of the stack.
 
-    theta . theta(gamma_(i, k)) is d -> L s_i d + t + k L e_i: every row of
-    L is reflected at curve i and the translation gains k times column i
-    of L.  theta(gamma_(i, k))^-1 . theta^-1 is d -> s_i (M d + u - k e_i):
-    every column of M, and u - k e_i, is coreflected at curve i.
+    One sparse step per crossing, first crossing first:
+    theta(gamma_(i, k))^-1 d = s_i (d - k den e_i).  With den = 0 only
+    the linear part acts.
     """
-    i, k = c.curve, c.strip
-    th, th_inv = frames[-1]
-    linear = tuple(lat.reflect(i, row) for row in th.linear)
-    trans = tuple(t + k * row[i - 1] for t, row in zip(th.trans, th.linear))
-    inv_linear = transpose([lat.coreflect(i, col) for col in transpose(th_inv.linear)])
-    inv_trans = lat.coreflect(i, tuple(u - k if j == i - 1 else u
-                                       for j, u in enumerate(th_inv.trans)))
-    frames.append((AffineMap(linear, trans), AffineMap(inv_linear, inv_trans)))
+    for c in stack:
+        if den and c.strip:
+            d = tuple(x - c.strip * den if j == c.curve - 1 else x for j, x in enumerate(d))
+        d = lat.coreflect(c.curve, d)
+    return d
 
 
 def _numerators(v0: tuple, v1: tuple) -> Tuple[tuple, tuple, int]:
@@ -148,13 +143,10 @@ def _numerators(v0: tuple, v1: tuple) -> Tuple[tuple, tuple, int]:
     return nums[:n], tuple(b - a for a, b in zip(nums, nums[n:])), d
 
 
-def _along(x0: Sequence[int], dx: Sequence[int], d: int, s: Fraction,
-           shift: Optional[Sequence[int]] = None) -> tuple:
-    """(x0 + s dx) / d + shift, coordinatewise, from integer numerators."""
+def _along(x0: Sequence[int], dx: Sequence[int], d: int, s: Fraction) -> tuple:
+    """(x0 + s dx) / d, coordinatewise, from integer numerators."""
     p, q = s.numerator, s.denominator
-    den = d * q
-    shift = shift or (0,) * len(x0)
-    return tuple(Fraction(a * q + p * b + c * den, den) for a, b, c in zip(x0, dx, shift))
+    return tuple(Fraction(a * q + p * b, d * q) for a, b in zip(x0, dx))
 
 
 def _fundamental_start(lat: RootLattice, base: Optional[ComplexDivisor] = None) -> LiftState:
@@ -170,22 +162,18 @@ def fundamental_state(lat: RootLattice, base: Optional[ComplexDivisor] = None) -
     return state
 
 
-def _validate_state(state: LiftState) -> List[Tuple[AffineMap, AffineMap]]:
-    """Check a start state; return the frame pairs of its stack's prefixes."""
+def _validate_state(state: LiftState) -> None:
+    """Check a start state's position, its theta against its stack, and its framed omega."""
     lat = state.lattice
     if state.position.n != lat.n:
         raise StartNotGeneric("state position size differs from lattice rank")
     if not in_complement(lat, state.position):
         raise StartNotGeneric("state position lies on the forbidden locus")
-    frames = [(affine_identity(lat.n), affine_identity(lat.n))]
-    for c in state.stack:
-        _push_frame(lat, frames, c)
-    if frames[-1][0] != state.theta:
+    if stack_theta(lat, state.stack) != state.theta:
         raise StartNotGeneric("state theta is not the shadow of its stack")
     on, _ = common_denominator(state.position.omega)
-    if not all(x > 0 for x in frames[-1][1].apply_linear(on)):
+    if not all(x > 0 for x in _unframe(lat, state.stack, on)):
         raise StartNotGeneric("framed omega of the state is not strictly ample")
-    return frames
 
 
 def lift_path(lat: RootLattice, path: Sequence[ComplexDivisor],
@@ -200,7 +188,7 @@ def lift_path(lat: RootLattice, path: Sequence[ComplexDivisor],
     """
     if start is None:
         start = _fundamental_start(lat)
-    frames = _validate_state(start)
+    _validate_state(start)
     pts = [p if isinstance(p, ComplexDivisor) else ComplexDivisor(*p) for p in path]
     if len(pts) < 1:
         raise StartNotGeneric("empty path")
@@ -220,14 +208,13 @@ def lift_path(lat: RootLattice, path: Sequence[ComplexDivisor],
         p0, p1 = pts[seg], pts[seg + 1]
         if p0 == p1:
             continue
-        # start and direction over one denominator, then framed by the
-        # current theta^-1: the framed omega at time s is (fw0 + s fdw) / wd
+        # start and direction over one denominator, omega's then framed by
+        # the stack: the framed omega at time s is (fw0 + s fdw) / wd
         b0, db, bd = _numerators(p0.beta, p1.beta)
         w0, dw, wd = _numerators(p0.omega, p1.omega)
-        framed_nums = [frames[-1][1].apply_linear(x) for x in (b0, db, w0, dw)]
+        fw0, fdw = (_unframe(lat, stack, x) for x in (w0, dw))
         t = Fraction(0)
         for _ in range(max_events):
-            fb0, fdb, fw0, fdw = framed_nums
             hits = []
             for j, (a, b) in enumerate(zip(fw0, fdw)):
                 if a == 0 and b == 0:
@@ -251,7 +238,8 @@ def lift_path(lat: RootLattice, path: Sequence[ComplexDivisor],
                     f"breakpoint after segment {seg} lies on a wall")
             s, i = at_min[0]
             pos = ComplexDivisor(_along(b0, db, bd, s), _along(w0, dw, wd, s))
-            framed = ComplexDivisor(_along(fb0, fdb, bd, s, frames[-1][1].trans),
+            nb, d = common_denominator(pos.beta)
+            framed = ComplexDivisor(tuple(Fraction(x, d) for x in _unframe(lat, stack, nb, d)),
                                     _along(fw0, fdw, wd, s))
             fb = framed.beta[i - 1]
             if fb.denominator == 1:
@@ -260,22 +248,21 @@ def lift_path(lat: RootLattice, path: Sequence[ComplexDivisor],
             k = strip_index(fb)
             if stack and stack[-1].curve == i and k == 1:
                 stack.pop()
-                frames.pop()
                 trace.append(TraceEvent(seg, s, i, k, "pop", pos, framed))
             else:
                 stack.append(Crossing(i, k))
-                _push_frame(lat, frames, stack[-1])
                 trace.append(TraceEvent(seg, s, i, k, "push", pos, framed))
-            framed_nums = [lat.coreflect(i, x) for x in framed_nums]
+            fw0, fdw = lat.coreflect(i, fw0), lat.coreflect(i, fdw)
             t = s
         else:
             raise AssertionError("event scan failed to terminate")
         # segment end must be strictly inside the current chamber
-        if any(a + b == 0 for a, b in zip(framed_nums[2], framed_nums[3])):
+        if any(a + b == 0 for a, b in zip(fw0, fdw)):
             raise NonGenericCrossing(
                 f"breakpoint after segment {seg} lies on a wall")
 
-    return LiftState(lat, start.base, pts[-1], tuple(stack), frames[-1][0], tuple(trace))
+    return LiftState(lat, start.base, pts[-1], tuple(stack), stack_theta(lat, stack),
+                     tuple(trace))
 
 
 @dataclass(frozen=True)
@@ -295,6 +282,8 @@ def isolating_depth(lat: RootLattice, omega: Sequence, i: int) -> Fraction:
     magnitude (capped by omega_i itself) keeps every wall but the
     simple one out of reach.
     """
+    if not (1 <= i <= lat.n):
+        raise IndexOutOfRange(f"curve index {i} not in 1..{lat.n}")
     on, od = common_denominator(omega)
     floor = None  # highest crossing as (numerator, vi): omega_i = num / (vi od)
     for r in lat.positive_roots():
@@ -319,8 +308,6 @@ def meridian_waypoints(lat: RootLattice, i: int, k: int,
     base.  The descent depth stays above the walls of every other root
     so only the i-th wall is crossed.
     """
-    if not (1 <= i <= lat.n):
-        raise IndexOutOfRange(f"curve index {i} not in 1..{lat.n}")
     p = base if base is not None else default_basepoint(lat)
     depth = isolating_depth(lat, p.omega, i)
 

@@ -85,7 +85,7 @@ def plot_slice(
     """Render the (beta_i, omega_i) slice through a base point as SVG text."""
     n = lat.n
     if not 1 <= curve <= n:
-        raise IndexOutOfRange(f"curve index {curve} out of range 1..{n}")
+        raise IndexOutOfRange(f"curve index {curve} not in 1..{n}")
     i0 = curve - 1
     if len(base.beta) != n:
         raise UnsupportedSlice("base point does not match the lattice rank")

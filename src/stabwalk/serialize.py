@@ -91,10 +91,18 @@ def kclass_json(c: KClass) -> Dict[str, Any]:
     return {"point_mult": c.point_mult, "curve_mult": list(c.curve_mult)}
 
 
+def _json_int(name: str, x) -> int:
+    # bool is an int subclass, and int() would truncate a float silently
+    if type(x) is not int:
+        raise ValueError(f"{name} takes JSON integers, not {json.dumps(x, default=repr)}")
+    return x
+
+
 def parse_kclass(data) -> KClass:
     if not isinstance(data, dict) or "point_mult" not in data or "curve_mult" not in data:
         raise ValueError("class JSON needs point_mult and curve_mult")
-    return KClass(int(data["point_mult"]), tuple(int(x) for x in data["curve_mult"]))
+    return KClass(_json_int("point_mult", data["point_mult"]),
+                  tuple(_json_int("curve_mult", x) for x in data["curve_mult"]))
 
 
 # -- strata and hearts -------------------------------------------------------

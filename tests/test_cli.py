@@ -82,6 +82,18 @@ def test_parse_failures(tmp_path, capsys):
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "ArgumentError"
+    # multiplicities are JSON integers: no float is truncated, no bool read as 1
+    pt = json.dumps({"beta": ["1/2", "1/3"], "omega": [1, 1]})
+    for a, m, field, bad in ((1.5, [1, 1], "point_mult", "1.5"),
+                             (True, [1, 1], "point_mult", "true"),
+                             (1, [1.9, 1], "curve_mult", "1.9"),
+                             (1, [1, "1"], "curve_mult", '"1"')):
+        kclass = json.dumps({"point_mult": a, "curve_mult": m})
+        code, out, err = _run(capsys, ["charge", "--graph", g, "--point", pt, "--kclass", kclass])
+        assert code == 1 and out == ""
+        msg = json.loads(err)
+        assert msg["error"] == "ValueError"
+        assert field in msg["message"] and msg["message"].endswith(bad)
 
 
 def test_weyl_cap_below_one_is_a_bad_flag(tmp_path, capsys):
@@ -248,6 +260,14 @@ def test_plot_flag_conflicts(tmp_path, capsys):
         assert code == 1 and out == ""
         msg = json.loads(err)
         assert msg["error"] == "ValueError" and "--format" in msg["message"]
+
+
+def test_plot_curve_out_of_range(tmp_path, capsys):
+    g = _graph(tmp_path, 2, [[1, 2]])
+    code, out, err = _run(capsys, ["plot", "--graph", g, "--curve", "0"])
+    assert code == 5 and out == ""
+    assert json.loads(err) == {"error": "IndexOutOfRange",
+                               "message": "curve index 0 not in 1..2"}
 
 
 def test_plot_rejects_off_slice_path(tmp_path, capsys):

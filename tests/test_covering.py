@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,14 @@ def test_isolating_depth():
     assert isolating_depth(d4, (Fraction(1),) * 4, 2) == Fraction(1, 2)
     # a faraway coordinate shrinks the safe depth through non-simple roots
     assert isolating_depth(chain_lattice(2), (Fraction(1), Fraction(1, 4)), 1) == Fraction(1, 8)
+    # i - 1 must not index from the end: 0 and -1 are refused like n + 1
+    a3 = chain_lattice(3)
+    for i in (0, -1, 4):
+        for call in (lambda: isolating_depth(a3, (Fraction(1),) * 3, i),
+                     lambda: strip_chamber_census(a3, curve=i),
+                     lambda: meridian_waypoints(a3, i, 0)):
+            with pytest.raises(IndexOutOfRange, match=rf"^curve index {i} not in 1\.\.3$"):
+                call()
 
 
 def test_same_chamber_rank_one():
@@ -237,6 +246,49 @@ def test_start_state_validation():
     assert lift_path(lat, [base], good).theta == good.theta
     with pytest.raises(StartNotGeneric):
         lift_path(lat, [base], LiftState(lat, base, base, stack, affine_identity(1)))
+    # a non-empty stack whose theta agrees but frames omega out of the cone
+    one = (Crossing(1, 1),)
+    with pytest.raises(StartNotGeneric, match="not strictly ample"):
+        lift_path(lat, [base], LiftState(lat, base, base, one, stack_theta(lat, one)))
+
+
+TWO_PIECE_LATTICES = {
+    "A3": chain_lattice(3),
+    "D4": lattice_from_edges(4, [(1, 2), (2, 3), (2, 4)]),
+    "E6": lattice_from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_PIECE_LATTICES))
+def test_lifting_in_two_pieces_equals_lifting_once(name):
+    lat = TWO_PIECE_LATTICES[name]
+    rng = random.Random(f"two-pieces-{name}")
+    # distinct prime denominators above every root coefficient: no root
+    # pairs integrally with beta, so no point over it is forbidden
+    primes = rng.sample([5, 7, 11, 13, 17, 19], lat.n)
+    beta = tuple(Fraction(rng.choice([a for a in range(-2 * p, 2 * p) if a % p]), p)
+                 for p in primes)
+    start = fundamental_state(lat, _pt(beta, [1] * lat.n))
+    split = 0
+    while split < 6:
+        pts = [start.position] + [
+            _pt(beta, [Fraction(rng.randrange(-60, 61), 16) for _ in range(lat.n)])
+            for _ in range(4)]
+        try:
+            once = lift_path(lat, pts, start)
+        except NonGenericCrossing:
+            continue
+        cut = rng.randrange(1, len(pts) - 1)
+        mid = lift_path(lat, pts[:cut + 1], start)
+        if not mid.stack:
+            continue
+        split += 1
+        twice = lift_path(lat, pts[cut:], mid)
+        assert twice == once and twice.theta == stack_theta(lat, once.stack)
+        # the second call counts its segments from its own start
+        shifted = mid.trace + tuple(
+            replace(ev, segment=ev.segment + cut) for ev in twice.trace[len(mid.trace):])
+        assert shifted == once.trace
 
 
 def test_default_start_is_validated_once(monkeypatch, tmp_path, capsys):
@@ -292,11 +344,17 @@ def test_push_builds_no_frame_from_identity(monkeypatch):
     lat = lattice_from_edges(4, [(1, 2), (2, 3), (2, 4)])
     beta = (Fraction(1, 7), Fraction(2, 11), Fraction(3, 13), Fraction(5, 17))
     start = fundamental_state(lat, _pt(beta, [1, 1, 1, 1]))
+    calls.clear()
+    assert lift_path(lat, [start.position], start).trace == ()
+    still = dict(calls)
+    calls.clear()
     far = _pt(beta, [-1, Fraction(-2, 3), Fraction(-3, 2), Fraction(-1, 2)])
     end = lift_path(lat, [start.position, far, start.position], start)
     actions = Counter(ev.action for ev in end.trace)
     assert actions == {"push": 12, "pop": 12} and end.stack == ()
-    assert calls == {}
+    # theta is built per lift, never per event, and never by products
+    assert calls == still == {"theta": 2}
+    calls.clear()
     # the counters are live: the dense shadow does go through them
     stack_theta(lat, (Crossing(1, 2), Crossing(3, 0))).compose(end.theta)
     assert calls["theta"] == 1 and calls["compose"] == 1 and calls["mat_mul"] == 1

@@ -1,9 +1,9 @@
-"""The closed-form frames of lift_path equal the dense shadows of their stacks.
+"""lift_path's stack framing equals the dense shadow of the stack.
 
-A push of Crossing(i, k) updates the frame pair (theta, theta^-1) in closed
-form, and the event scan carries framed integer numerators through every
-push and pop.  The reference here is the shadow of the stack's word and of
-its inverted word, built from the identity by fm_words.theta, and the
+lift_path frames points through theta^-1 of its crossing stack one sparse
+step per crossing, and the event scan carries framed integer numerators
+through every push and pop.  The reference here is the shadow of the
+stack's inverted word, built from the identity by fm_words.theta, and the
 dense affine action of that inverse on each event point.
 """
 
@@ -29,7 +29,7 @@ from stabwalk import (
     stack_word,
     theta,
 )
-from stabwalk.covering import _push_frame
+from stabwalk.covering import _unframe
 
 LATTICES = {
     "A3": chain_lattice(3),
@@ -39,28 +39,27 @@ LATTICES = {
 }
 
 
-def dense_pair(lat, stack):
-    return stack_theta(lat, stack), theta(lat, invert(stack_word(lat, stack)))
-
-
 @pytest.mark.parametrize("name", sorted(LATTICES))
 def test_push_and_pop_match_the_dense_shadow(name):
     lat = LATTICES[name]
     rng = random.Random(f"frames-{name}")
-    ident = affine_identity(lat.n)
     for _ in range(4):
-        stack, frames = [], [(ident, ident)]
+        stack = []
         for _ in range(24):
             if stack and rng.random() < 0.35:
                 stack.pop()
-                frames.pop()
             else:
                 stack.append(Crossing(rng.randint(1, lat.n), rng.randint(-3, 3)))
-                _push_frame(lat, frames, stack[-1])
-            th, th_inv = frames[-1]
-            assert (th, th_inv) == dense_pair(lat, stack)
-            assert th.compose(th_inv) == ident and th_inv.compose(th) == ident
-            assert len(frames) == len(stack) + 1
+            inv = theta(lat, invert(stack_word(lat, stack)))
+            assert stack_theta(lat, stack).compose(inv) == affine_identity(lat.n)
+            d = tuple(rng.randint(-9, 9) for _ in range(lat.n))
+            den = rng.randint(1, 7)
+            # den = 0 is the linear part; den > 0 frames the point d / den
+            assert _unframe(lat, stack, d) == inv.apply_linear(d)
+            assert _unframe(lat, stack, d, den) == tuple(
+                x + den * t for x, t in zip(inv.apply_linear(d), inv.trans))
+            v = tuple(Fraction(x, den) for x in d)
+            assert _unframe(lat, stack, v, 1) == inv.apply(v)
 
 
 def random_point(rng, n):
