@@ -8,6 +8,11 @@ class at a parameter (beta, omega) is
 
 normalized so the point class has charge -1.  All values are exact
 rationals; phases are never materialized as floats.
+
+Framing a point through a reflection frame runs on integers: beta and
+omega are each put over one common denominator, their numerators run
+through the frame's word, and each coordinate is divided once at the
+end.  classify frames beta for its strips through the same helper.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, IndexOutOfRange, OutOfSector
 from .lattice import WeylElement
-from .linalg import IntVec, Vec, to_vec, vdot
+from .linalg import IntVec, Vec, common_denominator, to_vec, vdot
 
 
 @dataclass(frozen=True)
@@ -101,10 +106,15 @@ class ComplexDivisor:
         return len(self.beta)
 
 
+def _frame_vec(frame: WeylElement, v: Vec) -> Vec:
+    """Pull one coordinate vector back through a frame, on its integer numerators."""
+    nums, d = common_denominator(v)
+    return tuple(Fraction(x, d) for x in frame.apply_dual_inverse(nums))
+
+
 def frame_point(frame: WeylElement, p: ComplexDivisor) -> ComplexDivisor:
     """Pull a parameter back through a reflection frame."""
-    return ComplexDivisor(frame.apply_dual_inverse(p.beta),
-                          frame.apply_dual_inverse(p.omega))
+    return ComplexDivisor(_frame_vec(frame, p.beta), _frame_vec(frame, p.omega))
 
 
 @dataclass(frozen=True)
@@ -115,8 +125,11 @@ class ExactComplex:
     im: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        # a Fraction is immutable, so it is kept as it is rather than copied
+        if type(self.re) is not Fraction:
+            object.__setattr__(self, "re", Fraction(self.re))
+        if type(self.im) is not Fraction:
+            object.__setattr__(self, "im", Fraction(self.im))
 
     @property
     def is_zero(self) -> bool:
@@ -144,9 +157,12 @@ def central_charge(p: ComplexDivisor, c: KClass) -> ExactComplex:
     if p.n != c.n:
         raise DimensionMismatch("parameter and class sizes differ")
     # generator classes have one nonzero curve multiplicity; skip the zero terms
-    terms = [(j, m) for j, m in enumerate(c.curve_mult) if m]
-    return ExactComplex(-c.point_mult + sum(p.beta[j] * m for j, m in terms),
-                        sum(p.omega[j] * m for j, m in terms))
+    re, im = Fraction(-c.point_mult), Fraction(0)
+    for b, o, m in zip(p.beta, p.omega, c.curve_mult):
+        if m:
+            re += b * m
+            im += o * m
+    return ExactComplex(re, im)
 
 
 def euler_pairing(e: AmbientClass, c: KClass) -> int:

@@ -52,20 +52,29 @@ def _identity_frame(lat: RootLattice, frame: Optional[WeylElement]) -> WeylEleme
     return frame if frame is not None else lat.weyl_identity()
 
 
+def _int_datum(name: str, x) -> int:
+    # bool is an int subclass, and int() would truncate a float silently
+    if type(x) is not int:
+        raise IndexOutOfRange(f"{name} must be an integer, got {x!r}")
+    return x
+
+
 def coherent_heart(lat: RootLattice, frame: Optional[WeylElement] = None) -> HeartDescriptor:
     return HeartDescriptor(lat.n, "coherent", (), _identity_frame(lat, frame))
 
 
 def tilted_heart(lat: RootLattice, i: int, k: int,
                  frame: Optional[WeylElement] = None) -> HeartDescriptor:
-    if not (1 <= i <= lat.n):
+    if not (1 <= _int_datum("curve index", i) <= lat.n):
         raise IndexOutOfRange(f"curve index {i} not in 1..{lat.n}")
-    return HeartDescriptor(lat.n, "tilted", ((i, k),), _identity_frame(lat, frame))
+    return HeartDescriptor(lat.n, "tilted", ((i, _int_datum(f"strip of curve {i}", k)),),
+                           _identity_frame(lat, frame))
 
 
 def partial_perverse_heart(lat: RootLattice, strips, frame: Optional[WeylElement] = None,
                            kind: str = "partial_perverse") -> HeartDescriptor:
-    pairs = tuple(sorted((int(i), int(k)) for i, k in strips))
+    pairs = tuple(sorted((_int_datum("curve index", i), _int_datum(f"strip of curve {i}", k))
+                         for i, k in strips))
     for i, _ in pairs:
         if not (1 <= i <= lat.n):
             raise IndexOutOfRange(f"curve index {i} not in 1..{lat.n}")

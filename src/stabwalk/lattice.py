@@ -11,6 +11,10 @@ curve classes and coreflect on divisor coordinates, each touching curve
 i and its tree neighbours only.  A Weyl element is its word in simple
 reflections; every action, the root closure and the group enumeration
 run on those two steps, and matrices are built from the word on demand.
+On divisor coordinates there is one word loop, which updates a single
+list in place letter by letter; coreflect is that loop on a one-letter
+word.  Callers that frame a point feed it integer numerators over one
+common denominator and divide once at the end.
 """
 
 from __future__ import annotations
@@ -88,11 +92,12 @@ class WeylElement:
     """Reflection group element, stored as a word in simple reflections.
 
     The first letter is outermost, w = s_w1 s_w2 ..., on both sides.
-    Every action runs the word through RootLattice.reflect or coreflect,
-    one sparse step per letter.  Equality and hashing use the key
-    w^-1 rho with rho = (1, ..., 1) in divisor coordinates: only the
-    identity fixes the regular rho, so the key determines w.  mat and
-    dual_mat are built from the word whenever they are asked for.
+    Every action runs the word through RootLattice.reflect or the divisor
+    word loop, one sparse step per letter.  Equality compares the lattice
+    and the key w^-1 rho with rho = (1, ..., 1) in divisor coordinates:
+    only the identity fixes the regular rho, so within one lattice the
+    key determines w.  Hashing uses the key alone.  mat and dual_mat are
+    built from the word whenever they are asked for.
     """
 
     __slots__ = ("lattice", "word", "key")
@@ -103,7 +108,8 @@ class WeylElement:
         self.key = key
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, WeylElement) and self.key == other.key
+        return (isinstance(other, WeylElement) and self.key == other.key
+                and (self.lattice is other.lattice or self.lattice == other.lattice))
 
     def __hash__(self) -> int:
         return hash(self.key)
@@ -151,7 +157,7 @@ class RootLattice:
     graph: DualGraph
     gram: IntMat
 
-    @property
+    @cached_property
     def n(self) -> int:
         return self.graph.n_curves
 
@@ -185,21 +191,21 @@ class RootLattice:
         return tuple(out)
 
     def coreflect(self, i: int, d: Sequence) -> tuple:
-        """Simple reflection s_i of divisor coordinates, adjoint to reflect:
-        d_i -> -d_i, then d_j += d_i for each tree neighbour j of curve i."""
-        k = self._index(i)
-        out = list(d)
-        out[k] = -d[k]
-        for j in self._neighbours[k]:
-            out[j] += d[k]
-        return tuple(out)
+        """Simple reflection s_i of divisor coordinates, adjoint to reflect."""
+        return self._coreflect_word((i,), d)
 
     def _coreflect_word(self, word: Iterable[int], d: Sequence) -> tuple:
-        """Run d through coreflect once per letter, first letter first."""
-        d = tuple(d)
+        """Run d through s_i once per letter i, first letter first, in place:
+        d_i -> -d_i, then d_j += d_i for each tree neighbour j of curve i."""
+        out = list(d)
+        neighbours = self._neighbours
         for i in word:
-            d = self.coreflect(i, d)
-        return d
+            k = self._index(i)
+            x = out[k]
+            out[k] = -x
+            for j in neighbours[k]:
+                out[j] += x
+        return tuple(out)
 
     # -- Weyl elements -------------------------------------------------------
 

@@ -13,7 +13,8 @@ and omega are each put over one common denominator, so omega . v = 0 is
 an integer dot product and the level of beta . v is one divmod by
 beta's denominator.  The descent into the fundamental cone also walks
 omega's integer numerators, one sparse coreflection per step, and frames
-beta through the resulting word only when some coordinate vanishes.
+beta's numerators through the resulting word, as frame_point does, only
+when some coordinate vanishes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .charge import ComplexDivisor, frame_point, strip_index
+from .charge import ComplexDivisor, _frame_vec, frame_point, strip_index
 from .errors import DimensionMismatch, OnWall
 from .lattice import Root, RootLattice, WeylElement
 from .linalg import IntVec, common_denominator, to_vec, vdot
@@ -160,7 +161,7 @@ def classify(lat: RootLattice, p: ComplexDivisor) -> StratumLabel:
     vanishing = tuple(j + 1 for j, x in enumerate(fo) if x == 0)
     if not vanishing:
         return AmpleChamber(frame)
-    fb = frame.apply_dual_inverse(p.beta)
+    fb = _frame_vec(frame, p.beta)
     strips = tuple((i, strip_index(fb[i - 1])) for i in vanishing)
     if len(vanishing) == 1:
         return WallStrip(vanishing[0], strips[0][1], frame)

@@ -62,7 +62,7 @@ def lattice_and_point(draw):
     return lat, ComplexDivisor(tuple(beta), tuple(omega)), move
 
 
-@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
 @hypothesis.given(lattice_and_point())
 def test_integer_scan_matches_fraction_scan(case):
     lat, p, move = case

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -195,3 +196,18 @@ def test_partial_perverse_validation():
         partial_perverse_heart(lat, [(3, 0)])
     with pytest.raises(IndexOutOfRange):
         tilted_heart(lat, 0, 1)
+
+
+@pytest.mark.parametrize("strips, bad", [([(1.9, 0)], 1.9), ([(True, 0)], True),
+                                         ([(1, Fraction(3, 2))], Fraction(3, 2)),
+                                         ([(2, 0), (1, 1.0)], 1.0), ([(1, False)], False)])
+def test_partial_perverse_heart_takes_only_integers(strips, bad):
+    with pytest.raises(IndexOutOfRange, match=re.escape(f"must be an integer, got {bad!r}")):
+        partial_perverse_heart(chain_lattice(2), strips)
+
+
+@pytest.mark.parametrize("i, k, bad", [(1.0, 1, 1.0), (True, 1, True), (1, 1.5, 1.5),
+                                       (1, Fraction(1), Fraction(1)), (1, True, True)])
+def test_tilted_heart_takes_only_integers(i, k, bad):
+    with pytest.raises(IndexOutOfRange, match=re.escape(f"must be an integer, got {bad!r}")):
+        tilted_heart(chain_lattice(2), i, k)

@@ -16,6 +16,7 @@ from stabwalk import (
     build_graph,
     build_lattice,
     chain_lattice,
+    coherent_heart,
     lattice_from_edges,
     theta,
     word,
@@ -253,3 +254,15 @@ def test_weyl_order_matches_sympy(t):
     weyl_group = pytest.importorskip("sympy.liealgebras.weyl_group")
     # sympy returns an mpf for the A and D types
     assert len(dynkin_lattice(t).enumerate_weyl()) == int(weyl_group.WeylGroup(t).group_order())
+
+
+def test_weyl_elements_of_different_lattices_differ():
+    a4, d4 = dynkin_lattice("A4"), dynkin_lattice("D4")
+    wa = a4.weyl_from_word((1, 2, 3, 4, 3, 2, 1))
+    wd = d4.weyl_from_word((1, 2, 3, 4, 2, 1, 3, 2, 4))
+    # same key, different actions: the key pins w down only within a lattice
+    assert wa.key == wd.key and wa.mat != wd.mat
+    assert wa != wd and wd != wa
+    assert wa == dynkin_lattice("A4").weyl_from_word(wa.word)
+    assert coherent_heart(a4) != coherent_heart(d4)
+    assert coherent_heart(a4) == coherent_heart(dynkin_lattice("A4"))
