@@ -28,7 +28,7 @@ from .charge import (
 from .covering import (
     DISTINCT,
     EQUAL,
-    THETA_EQUAL_WORD_DISTINCT,
+    UNDECIDED,
     Crossing,
     DeckElement,
     LiftState,
@@ -53,7 +53,6 @@ from .errors import (
     IndexOutOfRange,
     NonGenericCrossing,
     NotATree,
-    NotEncirclable,
     NotNegativeDefinite,
     OnWall,
     OutOfSector,
@@ -68,7 +67,6 @@ from .fm_words import (
     Flop,
     Twist,
     affine_identity,
-    ch1_structure,
     compose,
     invert,
     is_in_g,
@@ -109,9 +107,7 @@ from .strata import (
     Forbidden,
     StratumLabel,
     WallStrip,
-    ample_test,
     classify,
-    framed_point,
     in_complement,
     locate_weyl_chamber,
 )

@@ -32,7 +32,12 @@ sparse coreflection: theta(gamma_(i, k))^-1 d = s_i (d - k e_i).  The
 segment's framed omega numerators follow the stack the same way: s_i is
 an involution, so a push and a pop at curve i both coreflect them once.
 theta itself is built only by stack_theta, for the start check and the
-end state.
+end state, as a Weyl element plus a translation.  Its Weyl element is
+the Weyl chamber of the framed omega, and same_chamber compares chambers
+through it.
+
+A meridian's stack is known in closed form, so meridian lifts nothing;
+the rectangle it stands for is still drawn by meridian_waypoints.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ from .errors import (
     BaseMismatch,
     IndexOutOfRange,
     NonGenericCrossing,
-    NotEncirclable,
     PathHitsForbidden,
     StartNotGeneric,
 )
@@ -61,7 +65,7 @@ from .fm_words import (
     word,
 )
 from .lattice import RootLattice
-from .linalg import common_denominator, vdot
+from .linalg import common_denominator, vdot, vneg
 from .strata import in_complement
 
 
@@ -152,7 +156,7 @@ def _along(x0: Sequence[int], dx: Sequence[int], d: int, s: Fraction) -> tuple:
 def _fundamental_start(lat: RootLattice, base: Optional[ComplexDivisor] = None) -> LiftState:
     """Start state over a basepoint of the fundamental chamber, unchecked."""
     p = base if base is not None else default_basepoint(lat)
-    return LiftState(lat, p, p, (), affine_identity(lat.n))
+    return LiftState(lat, p, p, (), affine_identity(lat))
 
 
 def fundamental_state(lat: RootLattice, base: Optional[ComplexDivisor] = None) -> LiftState:
@@ -337,36 +341,36 @@ def meridian(lat: RootLattice, i: int, k: int,
              base: Optional[ComplexDivisor] = None) -> DeckElement:
     """Deck element of the loop encircling the wall puncture (i, k).
 
-    The loop is a rectangle in the i-th coordinate pair: it crosses the
-    wall downward through strip k + 1, passes under the puncture at
-    beta offset k, and comes back up through strip k.  The end word is
-    normalized by a right twist into the subgroup acting trivially on
-    divisor coordinates; right twists do not move chambers.
+    The loop is the rectangle of meridian_waypoints, which crosses only
+    the wall of curve i.  Its stack is known in closed form, so nothing
+    is lifted.  The way down crosses at framed beta_i = k + 1/2 and
+    pushes (i, k + 1).  After s_i, framed beta_i at beta_i = k - 1/2 is
+    -(k - 1/2 - (k + 1)) = 3/2 whatever the other coordinates, so the
+    way up pushes (i, 2).  The base only has to be a valid start.  The
+    word is normalized by a right twist into the subgroup acting
+    trivially on divisor coordinates; right twists do not move chambers.
     """
-    waypoints = meridian_waypoints(lat, i, k, base)
-    end = lift_path(lat, waypoints, _fundamental_start(lat, waypoints[0]))
-    if len(end.stack) != 2 or not end.theta.is_translation:
-        raise NotEncirclable(
-            f"rectangle around ({i}, {k}) did not close into a pure twist")
-    u = stack_word(lat, end.stack)
-    offset = end.theta.trans
+    stack = (Crossing(i, k + 1), Crossing(i, 2))
+    u = stack_word(lat, stack)  # refuses a bad curve index before the base is checked
+    fundamental_state(lat, base)
+    offset = stack_theta(lat, stack).trans
     if any(offset):
-        u = compose(u, word((Twist(tuple(-x for x in offset)),)))
-    return DeckElement(u, end.stack)
+        u = compose(u, word((Twist(vneg(offset)),)))
+    return DeckElement(u, stack)
 
 
 EQUAL = "equal"
 DISTINCT = "distinct"
-# frames equal up to a right twist, stacks distinct: undecided
-THETA_EQUAL_WORD_DISTINCT = "theta_equal_word_distinct"
+# same Weyl element (frames equal up to a right twist), distinct stacks
+UNDECIDED = "undecided"
 
 
 def same_chamber(a: LiftState, b: LiftState) -> str:
     """Compare the chambers of two lift states over the same base.
 
     Identical reduced stacks mean the same chamber.  A chamber fixes the
-    Weyl element of its model, the linear part of its frame, so distinct
-    linear parts mean distinct chambers.  Frames of one chamber may still
+    Weyl element of its model, the one in its frame, so distinct Weyl
+    elements mean distinct chambers.  Frames of one chamber may still
     differ by a right twist, which changes only the translation part, so
     distinct stacks whose frames are equal up to a right twist are
     genuinely distinct only when the base fundamental group is free,
@@ -381,9 +385,9 @@ def same_chamber(a: LiftState, b: LiftState) -> str:
         return EQUAL
     if a.lattice.n == 1:
         return DISTINCT
-    if a.theta.linear != b.theta.linear:
+    if a.theta.weyl != b.theta.weyl:
         return DISTINCT
-    return THETA_EQUAL_WORD_DISTINCT
+    return UNDECIDED
 
 
 def strip_chamber_census(lat: RootLattice, curve: int = 1,

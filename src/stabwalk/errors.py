@@ -55,9 +55,5 @@ class BaseMismatch(StabwalkError):
     """Two lift states based at different starting data were compared."""
 
 
-class NotEncirclable(StabwalkError):
-    """No isolating rectangle exists for the requested wall puncture."""
-
-
 class UnsupportedSlice(StabwalkError):
     """The requested plot slice is not a valid two-dimensional projection."""

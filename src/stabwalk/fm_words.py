@@ -11,9 +11,9 @@ with zero translation part, a normalization pinned down by boundary
 matching of adjacent chambers.  Flops are involutions and a twist is
 undone by the opposite twist, so the shadow of the inverted word is the
 inverse of the shadow; that is how every inverse in the package is
-taken.  The shadow is computed without matrix products: its linear part
-is the dual matrix of the word's flops, and its translation part runs
-each twist through the flops to its left, one sparse coreflection each.
+taken.  The shadow is a Weyl element, the product of the word's flops,
+plus a translation that runs each twist through the flops to its left,
+one sparse coreflection each; no matrix is built unless one is asked for.
 """
 
 from __future__ import annotations
@@ -23,15 +23,7 @@ from typing import Iterable, Tuple, Union
 
 from .errors import DimensionMismatch
 from .lattice import RootLattice, WeylElement
-from .linalg import (
-    IntMat,
-    IntVec,
-    identity_mat,
-    mat_mul,
-    mat_vec,
-    vadd,
-    vneg,
-)
+from .linalg import IntMat, IntVec, vadd, vneg
 
 
 @dataclass(frozen=True)
@@ -86,48 +78,47 @@ def invert(u: FMWord) -> FMWord:
 
 @dataclass(frozen=True)
 class AffineMap:
-    """Integral affine map d -> linear d + trans on divisor coordinates."""
+    """Integral affine map d -> w d + trans on divisor coordinates.
 
-    linear: IntMat
+    w is a Weyl element acting through its dual action, one sparse step
+    per letter; composing two maps concatenates their words.
+    """
+
+    weyl: WeylElement
     trans: IntVec
 
     def __post_init__(self):
-        object.__setattr__(self, "linear", tuple(tuple(r) for r in self.linear))
         object.__setattr__(self, "trans", tuple(self.trans))
 
     @property
-    def n(self) -> int:
-        return len(self.trans)
+    def linear(self) -> IntMat:
+        """The linear part as a dense matrix, built on demand for output."""
+        return self.weyl.dual_mat
 
     @property
     def is_identity(self) -> bool:
-        return self.linear == identity_mat(self.n) and not any(self.trans)
+        return self.weyl.is_identity and not any(self.trans)
 
     @property
     def is_translation(self) -> bool:
-        return self.linear == identity_mat(self.n)
+        return self.weyl.is_identity
 
     def apply(self, d):
-        return vadd(mat_vec(self.linear, d), self.trans)
-
-    def apply_linear(self, d):
-        return mat_vec(self.linear, d)
+        return vadd(self.weyl.apply_dual(d), self.trans)
 
     def compose(self, other: "AffineMap") -> "AffineMap":
-        if self.n != other.n:
-            raise DimensionMismatch("composing maps of different rank")
-        return AffineMap(mat_mul(self.linear, other.linear),
-                         vadd(self.trans, mat_vec(self.linear, other.trans)))
+        return AffineMap(self.weyl.compose(other.weyl),
+                         vadd(self.trans, self.weyl.apply_dual(other.trans)))
 
 
-def affine_identity(n: int) -> AffineMap:
-    return AffineMap(identity_mat(n), (0,) * n)
+def affine_identity(lat: RootLattice) -> AffineMap:
+    return AffineMap(lat.weyl_identity(), (0,) * lat.n)
 
 
 def theta(lat: RootLattice, u: FMWord) -> AffineMap:
     """Affine shadow of a word on divisor coordinates.
 
-    The linear part is the dual matrix of the word's flops.  Reading the
+    The Weyl element is the product of the word's flops.  Reading the
     word from the right carries each twist through the flops to its left.
     """
     flops, trans = [], (0,) * lat.n
@@ -141,12 +132,7 @@ def theta(lat: RootLattice, u: FMWord) -> AffineMap:
             flops.append(g.curve)
         else:
             raise TypeError(f"not a generator: {g!r}")
-    return AffineMap(lat.weyl_from_word(reversed(flops)).dual_mat, trans)
-
-
-def ch1_structure(lat: RootLattice, u: FMWord) -> IntVec:
-    """Accumulated divisor offset of the word, the translation part."""
-    return theta(lat, u).trans
+    return AffineMap(lat.weyl_from_word(reversed(flops)), trans)
 
 
 def model_of(lat: RootLattice, u: FMWord) -> WeylElement:

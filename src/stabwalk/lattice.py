@@ -145,6 +145,8 @@ class WeylElement:
         return transpose([self.apply_dual(e) for e in identity_mat(self.lattice.n)])
 
     def compose(self, other: "WeylElement") -> "WeylElement":
+        if self.lattice is not other.lattice and self.lattice != other.lattice:
+            raise DimensionMismatch("composing Weyl elements of different lattices")
         return WeylElement(self.lattice, self.word + other.word,
                            other.apply_dual_inverse(self.key))
 
@@ -199,6 +201,8 @@ class RootLattice:
         d_i -> -d_i, then d_j += d_i for each tree neighbour j of curve i."""
         out = list(d)
         neighbours = self._neighbours
+        if len(out) != len(neighbours):
+            raise DimensionMismatch(f"expected length {self.n}, got {len(out)}")
         for i in word:
             k = self._index(i)
             x = out[k]

@@ -49,14 +49,6 @@ def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> tuple:
     return tuple(sum(map(operator.mul, row, v)) for row in m)
 
 
-def mat_mul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> tuple:
-    n, k, m = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
-
-
 def transpose(m: Sequence[Sequence[Scalar]]) -> tuple:
     return tuple(zip(*m))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .charge import ComplexDivisor, _frame_vec, frame_point, strip_index
+from .charge import ComplexDivisor, _frame_vec, strip_index
 from .errors import DimensionMismatch, OnWall
 from .lattice import Root, RootLattice, WeylElement
 from .linalg import IntVec, common_denominator, to_vec, vdot
@@ -98,14 +98,6 @@ def in_complement(lat: RootLattice, p: ComplexDivisor) -> bool:
     return _forbidden_root(lat, p) is None
 
 
-def ample_test(lat: RootLattice, omega: Sequence) -> bool:
-    """Strict positivity against every simple curve class."""
-    o = to_vec(omega)
-    if len(o) != lat.n:
-        raise DimensionMismatch("omega size differs from lattice rank")
-    return all(x > 0 for x in o)
-
-
 def _descend_to_dominant(lat: RootLattice, o: IntVec):
     """Walk the integer numerators o of omega into the closed fundamental cone.
 
@@ -166,11 +158,3 @@ def classify(lat: RootLattice, p: ComplexDivisor) -> StratumLabel:
     if len(vanishing) == 1:
         return WallStrip(vanishing[0], strips[0][1], frame)
     return DeepStratum(vanishing, strips, frame)
-
-
-def framed_point(label: StratumLabel, p: ComplexDivisor) -> ComplexDivisor:
-    """Pull a point back through the frame recorded in its label."""
-    if isinstance(label, Forbidden):
-        raise OnWall("forbidden labels carry no frame")
-    frame = label.weyl if isinstance(label, AmpleChamber) else label.frame
-    return frame_point(frame, p)

@@ -9,10 +9,11 @@ from fractions import Fraction
 import pytest
 
 import stabwalk.covering as covering_mod
+from stabwalk import serialize
 from stabwalk import (
     DISTINCT,
     EQUAL,
-    THETA_EQUAL_WORD_DISTINCT,
+    UNDECIDED,
     BaseMismatch,
     ComplexDivisor,
     Crossing,
@@ -23,6 +24,7 @@ from stabwalk import (
     PathHitsForbidden,
     StartNotGeneric,
     Twist,
+    WeylElement,
     affine_identity,
     chain_lattice,
     crossing_generator,
@@ -194,7 +196,7 @@ def test_same_chamber_three_valued():
     assert ta.is_identity and tb.is_identity
     a = LiftState(lat, base, base, sa, ta)
     b = LiftState(lat, base, base, sb, tb)
-    assert same_chamber(a, b) == THETA_EQUAL_WORD_DISTINCT
+    assert same_chamber(a, b) == UNDECIDED
     c = LiftState(lat, base, base, (Crossing(1, 1),), stack_theta(lat, (Crossing(1, 1),)))
     assert same_chamber(a, c) == DISTINCT
 
@@ -225,7 +227,7 @@ def test_framed_omega_stays_ample():
             continue
         done += 1
         inv = theta(lat, invert(stack_word(lat, end.stack)))
-        assert all(x > 0 for x in inv.apply_linear(end.position.omega))
+        assert all(x > 0 for x in inv.weyl.apply_dual(end.position.omega))
         assert end.position == pts[-1]
 
 
@@ -245,7 +247,7 @@ def test_start_state_validation():
     good = LiftState(lat, base, base, stack, stack_theta(lat, stack))
     assert lift_path(lat, [base], good).theta == good.theta
     with pytest.raises(StartNotGeneric):
-        lift_path(lat, [base], LiftState(lat, base, base, stack, affine_identity(1)))
+        lift_path(lat, [base], LiftState(lat, base, base, stack, affine_identity(lat)))
     # a non-empty stack whose theta agrees but frames omega out of the cone
     one = (Crossing(1, 1),)
     with pytest.raises(StartNotGeneric, match="not strictly ample"):
@@ -310,8 +312,8 @@ def test_default_start_is_validated_once(monkeypatch, tmp_path, capsys):
     # one start check, one scan of the start point and one of the breakpoint
     assert calls == {"_validate_state": 1, "in_complement": 2}
     calls.clear()
-    meridian(lat, 1, 0)  # five waypoints
-    assert calls == {"_validate_state": 1, "in_complement": 5}
+    meridian(lat, 1, 0)  # lifts nothing: one check of the base
+    assert calls == {"_validate_state": 1, "in_complement": 1}
     calls.clear()
     strip_chamber_census(lat)  # eight lifts through two breakpoints each
     assert calls == {"_validate_state": 8, "in_complement": 24}
@@ -325,7 +327,6 @@ def test_default_start_is_validated_once(monkeypatch, tmp_path, capsys):
 
 def test_push_builds_no_frame_from_identity(monkeypatch):
     import stabwalk.fm_words as fm_words_mod
-    import stabwalk.linalg as linalg_mod
 
     calls = Counter()
 
@@ -338,9 +339,14 @@ def test_push_builds_no_frame_from_identity(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     for owner, name in ((covering_mod, "theta"), (fm_words_mod, "theta"),
-                        (fm_words_mod.AffineMap, "compose"),
-                        (fm_words_mod, "mat_mul"), (linalg_mod, "mat_mul")):
+                        (fm_words_mod.AffineMap, "compose")):
         counting(owner, name)
+    dual_mat = WeylElement.dual_mat.fget
+
+    def counting_dual_mat(w):
+        calls["dual_mat"] += 1
+        return dual_mat(w)
+    monkeypatch.setattr(WeylElement, "dual_mat", property(counting_dual_mat))
     lat = lattice_from_edges(4, [(1, 2), (2, 3), (2, 4)])
     beta = (Fraction(1, 7), Fraction(2, 11), Fraction(3, 13), Fraction(5, 17))
     start = fundamental_state(lat, _pt(beta, [1, 1, 1, 1]))
@@ -352,12 +358,14 @@ def test_push_builds_no_frame_from_identity(monkeypatch):
     end = lift_path(lat, [start.position, far, start.position], start)
     actions = Counter(ev.action for ev in end.trace)
     assert actions == {"push": 12, "pop": 12} and end.stack == ()
-    # theta is built per lift, never per event, and never by products
+    # theta is built per lift, never per event, and never as a matrix
     assert calls == still == {"theta": 2}
     calls.clear()
-    # the counters are live: the dense shadow does go through them
-    stack_theta(lat, (Crossing(1, 2), Crossing(3, 0))).compose(end.theta)
-    assert calls["theta"] == 1 and calls["compose"] == 1 and calls["mat_mul"] == 1
+    # the counters are live: composing builds no matrix, output builds one
+    composed = stack_theta(lat, (Crossing(1, 2), Crossing(3, 0))).compose(end.theta)
+    assert calls == {"theta": 1, "compose": 1}
+    serialize.affine_json(composed)
+    assert calls["dual_mat"] == 1
 
 
 def test_simultaneous_crossing_rejected():

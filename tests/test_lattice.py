@@ -21,7 +21,12 @@ from stabwalk import (
     theta,
     word,
 )
-from stabwalk.linalg import identity_mat, mat_mul, mat_vec, transpose
+from stabwalk.linalg import identity_mat, mat_vec, transpose
+
+
+def mat_mul(a, b):
+    """Dense reference product, kept here because src/ needs none."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
 def d4_lattice():
@@ -266,3 +271,24 @@ def test_weyl_elements_of_different_lattices_differ():
     assert wa == dynkin_lattice("A4").weyl_from_word(wa.word)
     assert coherent_heart(a4) != coherent_heart(d4)
     assert coherent_heart(a4) == coherent_heart(dynkin_lattice("A4"))
+    # composing across lattices is refused; an equal lattice composes
+    with pytest.raises(DimensionMismatch, match="different lattices"):
+        a4.weyl_from_word((1, 2)).compose(d4.weyl_from_word((2, 4)))
+    with pytest.raises(DimensionMismatch, match="different lattices"):
+        a4.weyl_from_word((1,)).compose(chain_lattice(3).weyl_from_word((1,)))
+    ab = a4.weyl_from_word((1, 2)).compose(dynkin_lattice("A4").weyl_from_word((2, 4)))
+    assert ab.key == (-1, 2, 2, -1) and ab == a4.weyl_from_word((1, 2, 2, 4))
+
+
+def test_word_loop_refuses_wrong_lengths():
+    a4 = dynkin_lattice("A4")
+    w = a4.weyl_from_word((1, 2))
+    for d in ((1, 2), (1, 2, 3, 4, 5)):
+        msg = rf"^expected length 4, got {len(d)}$"
+        for call in (lambda: a4._coreflect_word((1, 2), d), lambda: a4.coreflect(1, d),
+                     lambda: w.apply_dual(d), lambda: w.apply_dual_inverse(d)):
+            with pytest.raises(DimensionMismatch, match=msg):
+                call()
+    # the empty word checks the length too
+    with pytest.raises(DimensionMismatch):
+        a4._coreflect_word((), (1, 2, 3))

@@ -51,13 +51,13 @@ def test_push_and_pop_match_the_dense_shadow(name):
             else:
                 stack.append(Crossing(rng.randint(1, lat.n), rng.randint(-3, 3)))
             inv = theta(lat, invert(stack_word(lat, stack)))
-            assert stack_theta(lat, stack).compose(inv) == affine_identity(lat.n)
+            assert stack_theta(lat, stack).compose(inv) == affine_identity(lat)
             d = tuple(rng.randint(-9, 9) for _ in range(lat.n))
             den = rng.randint(1, 7)
             # den = 0 is the linear part; den > 0 frames the point d / den
-            assert _unframe(lat, stack, d) == inv.apply_linear(d)
+            assert _unframe(lat, stack, d) == inv.weyl.apply_dual(d)
             assert _unframe(lat, stack, d, den) == tuple(
-                x + den * t for x, t in zip(inv.apply_linear(d), inv.trans))
+                x + den * t for x, t in zip(inv.weyl.apply_dual(d), inv.trans))
             v = tuple(Fraction(x, den) for x in d)
             assert _unframe(lat, stack, v, 1) == inv.apply(v)
 
@@ -92,7 +92,7 @@ def test_framed_event_points_match_dense_frames(name):
                 tuple(a + ev.time * (b - a) for a, b in zip(p0.omega, p1.omega)))
             inv = theta(lat, invert(stack_word(lat, stack)))
             assert ev.framed == ComplexDivisor(inv.apply(ev.point.beta),
-                                               inv.apply_linear(ev.point.omega))
+                                               inv.weyl.apply_dual(ev.point.omega))
             if ev.action == "push":
                 stack.append(Crossing(ev.curve, ev.strip))
             else:

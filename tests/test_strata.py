@@ -12,14 +12,13 @@ from stabwalk import (
     Forbidden,
     OnWall,
     WallStrip,
-    ample_test,
     chain_lattice,
     classify,
-    framed_point,
     in_complement,
     lattice_from_edges,
     locate_weyl_chamber,
 )
+from stabwalk.charge import frame_point
 
 
 def n1():
@@ -48,15 +47,6 @@ def test_in_complement_nonsimple_root():
     assert not in_complement(lat, _pt([Fraction(1, 2), Fraction(1, 2)], [1, -1]))
     assert in_complement(lat, _pt([Fraction(1, 2), Fraction(1, 3)], [1, -1]))
     assert in_complement(lat, _pt([Fraction(1, 2), Fraction(1, 2)], [1, -2]))
-
-
-def test_ample_test():
-    lat = a2()
-    assert ample_test(lat, (Fraction(1), Fraction(2)))
-    assert not ample_test(lat, (Fraction(0), Fraction(1)))
-    assert not ample_test(lat, (Fraction(1), Fraction(-1)))
-    # positivity against every positive root, not just the simple ones
-    assert not ample_test(lat, (Fraction(0), Fraction(0)))
 
 
 def test_locate_ample_is_identity():
@@ -139,7 +129,7 @@ def test_classify_wall_with_nontrivial_frame():
     assert lab.curve == 2
     assert lab.strip == 1
     assert lab.frame.word == (2, 1)
-    fp = framed_point(lab, p)
+    fp = frame_point(lab.frame, p)
     assert fp.omega == (1, 0)
     assert fp.beta == (Fraction(-13, 21), Fraction(1, 3))
     assert Fraction(1, 3) - lab.strip + 1 > 0
@@ -172,14 +162,6 @@ def test_classify_forbidden_at_negative_level():
     p = _pt([Fraction(-5, 3), -1], [1, -1])
     assert in_complement(lat, p)
     assert isinstance(classify(lat, p), WallStrip)
-
-
-def test_framed_point_rejects_forbidden():
-    lat = n1()
-    p = _pt([0], [0])
-    lab = classify(lat, p)
-    with pytest.raises(OnWall):
-        framed_point(lab, p)
 
 
 def test_frame_convention_consistency():
