@@ -9,10 +9,10 @@ class at a parameter (beta, omega) is
 normalized so the point class has charge -1.  All values are exact
 rationals; phases are never materialized as floats.
 
-Framing a point through a reflection frame runs on integers: beta and
-omega are each put over one common denominator, their numerators run
-through the frame's word, and each coordinate is divided once at the
-end.  classify frames beta for its strips through the same helper.
+Charges are summed on integers: beta and omega are each put over one
+common denominator, the numerators of the terms with nonzero curve
+multiplicity are summed, and each part becomes one Fraction at the end.
+A heart's stability check runs the same kernel on framed numerators.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, IndexOutOfRange, OutOfSector
-from .lattice import WeylElement
 from .linalg import IntVec, Vec, common_denominator, to_vec, vdot
 
 
@@ -106,17 +105,6 @@ class ComplexDivisor:
         return len(self.beta)
 
 
-def _frame_vec(frame: WeylElement, v: Vec) -> Vec:
-    """Pull one coordinate vector back through a frame, on its integer numerators."""
-    nums, d = common_denominator(v)
-    return tuple(Fraction(x, d) for x in frame.apply_dual_inverse(nums))
-
-
-def frame_point(frame: WeylElement, p: ComplexDivisor) -> ComplexDivisor:
-    """Pull a parameter back through a reflection frame."""
-    return ComplexDivisor(_frame_vec(frame, p.beta), _frame_vec(frame, p.omega))
-
-
 @dataclass(frozen=True)
 class ExactComplex:
     """Complex number with exact rational real and imaginary parts."""
@@ -152,17 +140,22 @@ class AmbientClass:
         object.__setattr__(self, "div", tuple(self.div))
 
 
+def _charge(b: IntVec, bd: int, o: IntVec, od: int, c: KClass) -> ExactComplex:
+    """Charge of c at the point with numerators b over bd and o over od."""
+    # generator classes have one nonzero curve multiplicity; skip the zero terms
+    re, im = -c.point_mult * bd, 0
+    for x, y, m in zip(b, o, c.curve_mult):
+        if m:
+            re += x * m
+            im += y * m
+    return ExactComplex(Fraction(re, bd), Fraction(im, od))
+
+
 def central_charge(p: ComplexDivisor, c: KClass) -> ExactComplex:
     """Charge of a compactly supported class at a stability parameter."""
     if p.n != c.n:
         raise DimensionMismatch("parameter and class sizes differ")
-    # generator classes have one nonzero curve multiplicity; skip the zero terms
-    re, im = Fraction(-c.point_mult), Fraction(0)
-    for b, o, m in zip(p.beta, p.omega, c.curve_mult):
-        if m:
-            re += b * m
-            im += o * m
-    return ExactComplex(re, im)
+    return _charge(*common_denominator(p.beta), *common_denominator(p.omega), c)
 
 
 def euler_pairing(e: AmbientClass, c: KClass) -> int:

@@ -49,6 +49,7 @@ from typing import List, Optional, Sequence, Tuple
 from .charge import ComplexDivisor, strip_index
 from .errors import (
     BaseMismatch,
+    DimensionMismatch,
     IndexOutOfRange,
     NonGenericCrossing,
     PathHitsForbidden,
@@ -199,8 +200,6 @@ def lift_path(lat: RootLattice, path: Sequence[ComplexDivisor],
     if pts[0] != start.position:
         raise StartNotGeneric("path does not start at the state position")
     for p in pts[1:]:  # pts[0] is the state position, checked above
-        if p.n != lat.n:
-            raise PathHitsForbidden("breakpoint size differs from lattice rank")
         if not in_complement(lat, p):
             raise PathHitsForbidden(f"breakpoint {p} lies on the forbidden locus")
 
@@ -288,6 +287,8 @@ def isolating_depth(lat: RootLattice, omega: Sequence, i: int) -> Fraction:
     """
     if not (1 <= i <= lat.n):
         raise IndexOutOfRange(f"curve index {i} not in 1..{lat.n}")
+    if len(omega) != lat.n:
+        raise DimensionMismatch(f"omega length {len(omega)} differs from lattice rank {lat.n}")
     on, od = common_denominator(omega)
     floor = None  # highest crossing as (numerator, vi): omega_i = num / (vi od)
     for r in lat.positive_roots():

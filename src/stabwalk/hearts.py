@@ -10,7 +10,8 @@ gives the two perverse hearts of the full contraction.
 
 A heart also records the reflection frame it was located through, so
 its stability check can be evaluated at points far from the fundamental
-cone by framing the point first.
+cone.  The check frames the integer numerators of beta and omega through
+the frame's word once and sums every generator's charge on them.
 """
 
 from __future__ import annotations
@@ -22,14 +23,14 @@ from .charge import (
     ComplexDivisor,
     ExactComplex,
     KClass,
-    central_charge,
+    _charge,
     curve_class,
-    frame_point,
     line_bundle_class,
     point_class,
 )
 from .errors import ForbiddenStratum, IndexOutOfRange
 from .lattice import RootLattice, WeylElement
+from .linalg import common_denominator
 from .strata import AmpleChamber, DeepStratum, Forbidden, StratumLabel, WallStrip
 
 RIGID = "rigid"
@@ -150,10 +151,12 @@ def stability_check(h: HeartDescriptor, p: ComplexDivisor) -> StabilityReport:
     A failing generator is recorded, not raised; callers inspect the
     report.
     """
-    framed = frame_point(h.frame, p)
+    bn, bd = common_denominator(p.beta)
+    on, od = common_denominator(p.omega)
+    fb, fo = h.frame.apply_dual_inverse(bn), h.frame.apply_dual_inverse(on)
     entries = []
     for c, tag in generators(h):
-        z = central_charge(framed, c)
+        z = _charge(fb, bd, fo, od, c)
         if tag == FAMILY:
             ok = z.im > 0
         else:

@@ -11,10 +11,10 @@ curve classes and coreflect on divisor coordinates, each touching curve
 i and its tree neighbours only.  A Weyl element is its word in simple
 reflections; every action, the root closure and the group enumeration
 run on those two steps, and matrices are built from the word on demand.
-On divisor coordinates there is one word loop, which updates a single
-list in place letter by letter; coreflect is that loop on a one-letter
-word.  Callers that frame a point feed it integer numerators over one
-common denominator and divide once at the end.
+On divisor coordinates there is one word loop, which updates lists in
+place letter by letter; coreflect is that loop on a one-letter word.
+Callers that frame a point feed it integer numerators over one common
+denominator and divide once at the end.
 """
 
 from __future__ import annotations
@@ -196,19 +196,27 @@ class RootLattice:
         """Simple reflection s_i of divisor coordinates, adjoint to reflect."""
         return self._coreflect_word((i,), d)
 
-    def _coreflect_word(self, word: Iterable[int], d: Sequence) -> tuple:
+    def _coreflect_word(self, word: Iterable[int], d: Sequence, *carried: list) -> tuple:
         """Run d through s_i once per letter i, first letter first, in place:
-        d_i -> -d_i, then d_j += d_i for each tree neighbour j of curve i."""
+        d_i -> -d_i, then d_j += d_i for each tree neighbour j of curve i.
+        Carried lists of the same length take the same steps in place, and a
+        descent may pick each letter from a carried list as it stands."""
         out = list(d)
         neighbours = self._neighbours
-        if len(out) != len(neighbours):
+        n = len(neighbours)
+        if len(out) != n:
             raise DimensionMismatch(f"expected length {self.n}, got {len(out)}")
+        vecs = (out, *carried)
         for i in word:
-            k = self._index(i)
-            x = out[k]
-            out[k] = -x
-            for j in neighbours[k]:
-                out[j] += x
+            if not 0 < i <= n:
+                self._index(i)  # raises IndexOutOfRange
+            k = i - 1
+            nbrs = neighbours[k]
+            for v in vecs:
+                x = v[k]
+                v[k] = -x
+                for j in nbrs:
+                    v[j] += x
         return tuple(out)
 
     # -- Weyl elements -------------------------------------------------------
@@ -249,6 +257,19 @@ class RootLattice:
 
     def positive_roots(self) -> Tuple[Root, ...]:
         return self._root_closure[1]
+
+    @cached_property
+    def _parabolic(self) -> dict:
+        return {}
+
+    def _parabolic_roots(self, curves: Tuple[int, ...]) -> Tuple[IntVec, ...]:
+        """Positive roots supported on the given curves, in positive_roots() order:
+        the positive roots of the subsystem their simple roots span, cached per set."""
+        if curves not in self._parabolic:
+            self._parabolic[curves] = tuple(
+                r.coords for r in self.positive_roots()
+                if all(c == 0 or j + 1 in curves for j, c in enumerate(r.coords)))
+        return self._parabolic[curves]
 
     def enumerate_weyl(self, cap: int = WEYL_CAP_DEFAULT) -> Tuple[WeylElement, ...]:
         """Full reflection group, breadth-first over keys: the key of w s_i

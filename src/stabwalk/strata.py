@@ -8,13 +8,15 @@ element framing it) or lies on walls; framing the point into the closed
 fundamental cone turns vanishing pairings into simple coordinates and
 reads off one strip integer per vanishing coordinate.
 
-The forbidden test scans the positive roots on integer numerators: beta
-and omega are each put over one common denominator, so omega . v = 0 is
-an integer dot product and the level of beta . v is one divmod by
-beta's denominator.  The descent into the fundamental cone also walks
-omega's integer numerators, one sparse coreflection per step, and frames
-beta's numerators through the resulting word, as frame_point does, only
-when some coordinate vanishes.
+A point query is one descent on integer numerators.  omega is walked
+into the closed fundamental cone, omega = w omega_+ with omega_+
+dominant.  A positive root pairs to zero with omega_+ exactly when it is
+supported on the set J of vanishing coordinates: the stabilizer of
+omega_+ is the parabolic subgroup of J (Steinberg; Humphreys, Reflection
+Groups and Coxeter Groups, 1.12).  So the roots vanishing on omega are
+w(Phi_J), and since beta . w(u) = (w^-1 beta) . u, the forbidden test
+and the strips read beta's numerators framed through the same word, on
+the positive roots of Phi_J alone; an empty J leaves nothing to test.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .charge import ComplexDivisor, _frame_vec, strip_index
+from .charge import ComplexDivisor, strip_index
 from .errors import DimensionMismatch, OnWall
 from .lattice import Root, RootLattice, WeylElement
 from .linalg import IntVec, common_denominator, to_vec, vdot
@@ -73,48 +75,52 @@ class Forbidden:
 StratumLabel = AmpleChamber | WallStrip | DeepStratum | Forbidden
 
 
-def _forbidden_root(lat: RootLattice, p: ComplexDivisor) -> Optional[Tuple[Root, int]]:
-    """First positive root with omega . v = 0 and beta . v integral, with that level.
+def _descend_to_dominant(lat: RootLattice, o: IntVec) -> Tuple[WeylElement, IntVec]:
+    """Walk the integer numerators o of omega into the closed fundamental cone.
 
-    A strictly positive omega pairs strictly positively with every
-    positive root, so it needs no scan.
+    Returns the frame and the framed numerators.  Each step coreflects
+    at the first negative coordinate and removes one inversion, so the
+    frame is the minimal one and vanishing coordinates are never touched;
+    the word loop carries the frame's key w^-1 rho through the same steps.
     """
-    on, _ = common_denominator(p.omega)
-    if all(x > 0 for x in on):
-        return None
-    bn, bd = common_denominator(p.beta)
-    for r in lat.positive_roots():
-        if vdot(on, r.coords) == 0:
-            level, rem = divmod(vdot(bn, r.coords), bd)
-            if rem == 0:
-                return r, level
-    return None
+    o, word = list(o), []
+
+    def letters():
+        for _ in range(len(lat.positive_roots()) + 1):
+            for i, x in enumerate(o, 1):
+                if x < 0:
+                    break
+            else:
+                return
+            word.append(i)
+            yield i
+        raise AssertionError("descent walk failed to terminate")
+
+    key = lat._coreflect_word(letters(), (1,) * lat.n, o)
+    return WeylElement(lat, tuple(word), key), tuple(o)
+
+
+def _forbidden_root(lat: RootLattice, frame: WeylElement, vanishing: Tuple[int, ...],
+                    fb: IntVec, d: int) -> Optional[Tuple[Root, int]]:
+    """Least frame(u), u in Phi_J+, with fb . u / d integral (a minimal frame keeps it > 0)."""
+    best = None
+    for u in lat._parabolic_roots(vanishing):
+        level, rem = divmod(vdot(fb, u), d)
+        if rem == 0:
+            v = u
+            for i in reversed(frame.word):
+                v = lat.reflect(i, v)
+            if best is None or v < best[0]:
+                best = (v, level)
+    return None if best is None else (Root(best[0]), best[1])
 
 
 def in_complement(lat: RootLattice, p: ComplexDivisor) -> bool:
     """True when no root has omega . v = 0 together with beta . v integral."""
     if p.n != lat.n:
         raise DimensionMismatch("parameter size differs from lattice rank")
-    return _forbidden_root(lat, p) is None
-
-
-def _descend_to_dominant(lat: RootLattice, o: IntVec):
-    """Walk the integer numerators o of omega into the closed fundamental cone.
-
-    Returns the frame and the framed numerators.  Repeatedly coreflects
-    at a simple root pairing strictly negatively with omega.  Each step
-    removes exactly one inversion, so the walk stops after at most the
-    number of positive roots, and the resulting frame is the minimal one;
-    coordinates that vanish are never touched.
-    """
-    word = []
-    for _ in range(len(lat.positive_roots()) + 1):
-        i = next((j + 1 for j, x in enumerate(o) if x < 0), None)
-        if i is None:
-            return lat.weyl_from_word(word), o
-        o = lat.coreflect(i, o)
-        word.append(i)
-    raise AssertionError("descent walk failed to terminate")
+    # a strictly positive omega needs no descent; a Fraction has its numerator's sign
+    return all(x.numerator > 0 for x in p.omega) or not isinstance(classify(lat, p), Forbidden)
 
 
 def locate_weyl_chamber(lat: RootLattice, omega: Sequence):
@@ -127,34 +133,33 @@ def locate_weyl_chamber(lat: RootLattice, omega: Sequence):
     if len(o) != lat.n:
         raise DimensionMismatch("omega size differs from lattice rank")
     # at beta = 0 every wall through omega is forbidden
-    on_wall = _forbidden_root(lat, ComplexDivisor((0,) * lat.n, o))
-    if on_wall is not None:
-        raise OnWall(f"omega pairs to zero with root {on_wall[0].coords}")
-    on, od = common_denominator(o)
-    w, dom = _descend_to_dominant(lat, on)
-    return w, tuple(Fraction(x, od) for x in dom)
+    label = classify(lat, ComplexDivisor((0,) * lat.n, o))
+    if isinstance(label, Forbidden):
+        raise OnWall(f"omega pairs to zero with root {label.root.coords}")
+    return label.weyl, label.weyl.apply_dual_inverse(o)
 
 
 def classify(lat: RootLattice, p: ComplexDivisor) -> StratumLabel:
     """Stratum label of a parameter point.
 
-    Forbidden points are reported first, with the offending root.  For
-    the rest omega is framed into the closed fundamental cone; no
-    vanishing framed coordinate gives an open chamber, one gives a wall
-    strip, several give a deep stratum with one strip integer each, read
-    off beta framed through the same word.
+    omega is framed first; no vanishing framed coordinate gives an open
+    chamber.  Otherwise beta is framed through the same word, a forbidden
+    point is reported with the offending root, and the rest get a wall
+    strip or a deep stratum, with one strip integer per vanishing curve.
     """
     if p.n != lat.n:
         raise DimensionMismatch("parameter size differs from lattice rank")
-    forbidden = _forbidden_root(lat, p)
-    if forbidden is not None:
-        return Forbidden(*forbidden)
     frame, fo = _descend_to_dominant(lat, common_denominator(p.omega)[0])
     vanishing = tuple(j + 1 for j, x in enumerate(fo) if x == 0)
     if not vanishing:
         return AmpleChamber(frame)
-    fb = _frame_vec(frame, p.beta)
-    strips = tuple((i, strip_index(fb[i - 1])) for i in vanishing)
+    bn, d = common_denominator(p.beta)
+    fb = frame.apply_dual_inverse(bn)
+    forbidden = _forbidden_root(lat, frame, vanishing, fb, d)
+    if forbidden is not None:
+        return Forbidden(*forbidden)
+    # e_i is in Phi_J, so fb_i / d is no integer here
+    strips = tuple((i, strip_index(Fraction(fb[i - 1], d))) for i in vanishing)
     if len(vanishing) == 1:
         return WallStrip(vanishing[0], strips[0][1], frame)
     return DeepStratum(vanishing, strips, frame)

@@ -182,6 +182,20 @@ def test_lift_forbidden_exit_code(tmp_path, capsys):
     assert json.loads(err)["error"] == "PathHitsForbidden"
 
 
+def test_lift_wrong_length_breakpoint_is_a_domain_error(tmp_path, capsys):
+    # a breakpoint of the wrong size is no point of the forbidden locus (exit 3)
+    g = _graph(tmp_path, 3, [[1, 2], [2, 3]])
+    path_file = tmp_path / "path.json"
+    path_file.write_text(json.dumps([
+        {"beta": ["1/2", "1/2", "1/2"], "omega": [1, 1, 1]},
+        {"beta": ["1/2", "1/2"], "omega": [1, 1]},
+    ]))
+    code, out, err = _run(capsys, ["lift", "--graph", g, "--path", str(path_file)])
+    assert code == 5 and out == ""
+    assert json.loads(err) == {"error": "DimensionMismatch",
+                               "message": "parameter size differs from lattice rank"}
+
+
 def test_lift_non_generic_exit_code(tmp_path, capsys):
     g = _graph(tmp_path, 1, [])
     path_file = tmp_path / "path.json"
@@ -268,6 +282,16 @@ def test_plot_curve_out_of_range(tmp_path, capsys):
     assert code == 5 and out == ""
     assert json.loads(err) == {"error": "IndexOutOfRange",
                                "message": "curve index 0 not in 1..2"}
+
+
+def test_plot_meridian_refuses_a_wrong_length_point(tmp_path, capsys):
+    g = _graph(tmp_path, 3, [[1, 2], [2, 3]])
+    code, out, err = _run(capsys, [
+        "plot", "--graph", g, "--curve", "3", "--meridian", "0",
+        "--point", '{"beta": ["1/2", "1/2"], "omega": ["1", "1"]}'])
+    assert code == 5 and out == ""
+    assert json.loads(err) == {"error": "DimensionMismatch",
+                               "message": "omega length 2 differs from lattice rank 3"}
 
 
 def test_plot_rejects_off_slice_path(tmp_path, capsys):

@@ -17,6 +17,7 @@ from stabwalk import (
     BaseMismatch,
     ComplexDivisor,
     Crossing,
+    DimensionMismatch,
     Flop,
     IndexOutOfRange,
     LiftState,
@@ -175,6 +176,15 @@ def test_isolating_depth():
                      lambda: meridian_waypoints(a3, i, 0)):
             with pytest.raises(IndexOutOfRange, match=rf"^curve index {i} not in 1\.\.3$"):
                 call()
+
+
+def test_isolating_depth_refuses_a_wrong_length_omega():
+    # a short omega used to raise a bare IndexError, a long one gave 1/2
+    a3 = chain_lattice(3)
+    for n in (2, 4):
+        with pytest.raises(DimensionMismatch,
+                           match=rf"^omega length {n} differs from lattice rank 3$"):
+            isolating_depth(a3, (Fraction(1),) * n, 3)
 
 
 def test_same_chamber_rank_one():

@@ -1,11 +1,11 @@
 """Framing on integer numerators agrees with a dense Fraction reference.
 
-frame_point, classify's strips and locate_weyl_chamber put each vector
-over one common denominator, run the integer numerators through the
-frame's word and divide once at the end.  The reference here pulls the
-Fraction vector back densely, as the transpose of the frame's matrix on
-curve classes, on points of four ADE trees whose omega sits up to three
-quarters of the positive roots away from the fundamental cone.
+classify's strips, stability_check's charges and locate_weyl_chamber put
+each vector over one common denominator, run the integer numerators
+through the frame's word and divide once at the end.  The reference here
+pulls the Fraction vector back densely, as the transpose of the frame's
+matrix on curve classes, on points of four ADE trees whose omega sits up
+to three quarters of the positive roots away from the fundamental cone.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+import stabwalk.strata as strata_mod
 from stabwalk import (
     AmpleChamber,
     ComplexDivisor,
@@ -28,8 +29,7 @@ from stabwalk import (
     stability_check,
     strip_index,
 )
-from stabwalk.charge import frame_point
-from stabwalk.linalg import mat_vec, transpose
+from stabwalk.linalg import common_denominator, mat_vec, transpose
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -76,10 +76,11 @@ def test_integer_framing_matches_dense_pullback(case):
     assert w.apply_dual(beta) == mat_vec(w.dual_mat, beta)
     assert w.apply_dual_inverse(beta) == dense_pullback(w, beta)
 
+    for v in (beta, omega):
+        nums, d = common_denominator(v)
+        assert tuple(Fraction(x, d) for x in w.apply_dual_inverse(nums)) == dense_pullback(w, v)
+
     p = ComplexDivisor(beta, omega)
-    framed = frame_point(w, p)
-    assert framed == ComplexDivisor(dense_pullback(w, beta), dense_pullback(w, omega))
-    assert all(type(x) is Fraction for x in framed.beta + framed.omega)
 
     regular = w.apply_dual(dominant)
     frame, dom = locate_weyl_chamber(lat, regular)
@@ -113,9 +114,11 @@ def test_point_queries_feed_the_word_loop_integers_only(monkeypatch):
     loop = RootLattice._coreflect_word
     entries = []
 
-    def recording(self, word, d):
+    def recording(self, word, d, *carried):
         entries.extend(d)
-        return loop(self, word, d)
+        for c in carried:
+            entries.extend(c)
+        return loop(self, word, d, *carried)
 
     far = lat.weyl_from_word((1, 2, 3, 4, 5, 6, 7, 8) * 8)
     # curves 1 and 4 on walls: the frame is far's shortest coset representative
@@ -127,3 +130,59 @@ def test_point_queries_feed_the_word_loop_integers_only(monkeypatch):
     assert isinstance(label, DeepStratum) and len(label.frame.word) > 40
     stability_check(heart_for_stratum(lat, label), p)
     assert entries and not any(isinstance(x, Fraction) for x in entries)
+
+
+FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                       "__truediv__", "__rtruediv__", "__neg__")
+
+
+def test_stability_check_sums_charges_on_integers(monkeypatch):
+    lat = LATTICES["E8"]
+    far = lat.weyl_from_word((1, 2, 3, 4, 5, 6, 7, 8) * 8)
+    omega = far.apply_dual((0, Fraction(1, 3), 0, 2, 0, Fraction(5, 2), 1, 3))
+    p = ComplexDivisor(tuple(Fraction(k, 7) for k in range(3, 11)), omega)
+    label = classify(lat, p)
+    assert isinstance(label, DeepStratum) and len(label.vanishing) == 3
+    heart = heart_for_stratum(lat, label)
+    counts = {"points": 0, "arithmetic": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ComplexDivisor, "__post_init__",
+                        counting("points", ComplexDivisor.__post_init__))
+    for name in FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, counting("arithmetic", getattr(Fraction, name)))
+    report = stability_check(heart, p)
+    monkeypatch.undo()
+    assert report.passed and len(report.entries) == 1 + 5 + 2 * 3
+    assert counts == {"points": 0, "arithmetic": 0}
+
+
+def test_open_chamber_classify_runs_one_descent_and_no_forbidden_test(monkeypatch):
+    lat = LATTICES["E8"]
+    lat.positive_roots()  # the closure is lattice structure, built once
+    calls = {"positive_roots": 0, "_forbidden_root": 0, "common_denominator": 0}
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(RootLattice, "positive_roots")
+    counting(strata_mod, "_forbidden_root")
+    counting(strata_mod, "common_denominator")
+    far = lat.weyl_from_word((1, 2, 3, 4, 5, 6, 7, 8) * 8)
+    p = ComplexDivisor((Fraction(1, 2),) * 8,
+                       far.apply_dual(tuple(Fraction(k, 3) for k in range(1, 9))))
+    label = classify(lat, p)
+    assert isinstance(label, AmpleChamber) and label.weyl == far
+    # the descent bound reads the roots, omega is put over one denominator
+    # once, and an open chamber leaves nothing to test
+    assert calls == {"positive_roots": 1, "_forbidden_root": 0, "common_denominator": 1}

@@ -18,7 +18,7 @@ from stabwalk import (
     lattice_from_edges,
     locate_weyl_chamber,
 )
-from stabwalk.charge import frame_point
+from stabwalk.linalg import mat_vec, transpose
 
 
 def n1():
@@ -129,9 +129,10 @@ def test_classify_wall_with_nontrivial_frame():
     assert lab.curve == 2
     assert lab.strip == 1
     assert lab.frame.word == (2, 1)
-    fp = frame_point(lab.frame, p)
-    assert fp.omega == (1, 0)
-    assert fp.beta == (Fraction(-13, 21), Fraction(1, 3))
+    # w^-1 on divisor coordinates is the transpose of w's curve-side matrix
+    pullback = transpose(lab.frame.mat)
+    assert mat_vec(pullback, p.omega) == (1, 0)
+    assert mat_vec(pullback, p.beta) == (Fraction(-13, 21), Fraction(1, 3))
     assert Fraction(1, 3) - lab.strip + 1 > 0
 
 
