@@ -34,7 +34,6 @@ from .covering import (
     strip_chamber_census,
 )
 from .errors import (
-    CapExceeded,
     ForbiddenStratum,
     NonGenericCrossing,
     NotATree,
@@ -146,18 +145,14 @@ def _load_path(path_file: str):
 
 def cmd_validate(args) -> Dict[str, Any]:
     lat = _load_graph(args)
-    out: Dict[str, Any] = {
+    return {
         "valid": True,
         "n_curves": lat.n,
         "edges": [list(e) for e in lat.graph.edges],
         "gram": [list(row) for row in lat.gram],
-        "root_count": len(lat.enumerate_roots()),
+        "root_count": 2 * lat.positive_root_count,
+        "weyl_order": lat.weyl_order,
     }
-    try:
-        out["weyl_order"] = len(lat.enumerate_weyl())
-    except CapExceeded:
-        out["weyl_order"] = None
-    return out
 
 
 def cmd_roots(args) -> Dict[str, Any]:
@@ -170,10 +165,9 @@ def cmd_weyl(args) -> Dict[str, Any]:
     if args.cap < 1:
         raise ValueError(f"--cap must be at least 1, got {args.cap}")
     lat = _load_graph(args)
-    elements = lat.enumerate_weyl(cap=args.cap)
-    out: Dict[str, Any] = {"order": len(elements)}
+    out: Dict[str, Any] = {"order": lat.capped_weyl_order(args.cap)}
     if args.list:
-        out["elements"] = [serialize.weyl_json(w) for w in elements]
+        out["elements"] = [serialize.weyl_json(w) for w in lat.enumerate_weyl(args.cap)]
     return out
 
 
@@ -255,8 +249,8 @@ def cmd_demo_conifold(args) -> Dict[str, Any]:
     census = strip_chamber_census(lat)
     return {
         "n_curves": 1,
-        "root_count": len(lat.enumerate_roots()),
-        "weyl_order": len(lat.enumerate_weyl()),
+        "root_count": 2 * lat.positive_root_count,
+        "weyl_order": lat.weyl_order,
         "basepoint": serialize.point_json(state.position),
         "basepoint_label": serialize.label_json(classify(lat, state.position)),
         "meridian_1_0": {
@@ -309,6 +303,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         payload = DISPATCH[args.command](args)
+        # rendering and writing fail too: an unwritable --out, or an integer
+        # with more digits than the interpreter converts, such as a huge |W|
+        if isinstance(payload, str):
+            _write(payload, args.out)
+        elif args.format == "table":
+            _write(_render_table(payload), args.out)
+        else:
+            _write(serialize.dumps(payload), args.out)
     except SystemExit:  # --help; flag errors raise ArgumentError instead
         return 0
     except (NotATree, NotNegativeDefinite) as exc:
@@ -323,13 +325,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _fail(exc, EXIT_PARSE)
     except Exception as exc:  # an internal error still ends in one JSON object
         return _fail(exc, EXIT_DOMAIN)
-
-    if isinstance(payload, str):
-        _write(payload, args.out)
-    elif args.format == "table":
-        _write(_render_table(payload), args.out)
-    else:
-        _write(serialize.dumps(payload), args.out)
     return 0
 
 

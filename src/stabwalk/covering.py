@@ -205,7 +205,7 @@ def lift_path(lat: RootLattice, path: Sequence[ComplexDivisor],
 
     stack: List[Crossing] = list(start.stack)
     trace: List[TraceEvent] = list(start.trace)
-    max_events = len(lat.positive_roots()) + 1
+    max_events = lat.positive_root_count + 1
 
     for seg in range(len(pts) - 1):
         p0, p1 = pts[seg], pts[seg + 1]

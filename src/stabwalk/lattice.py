@@ -4,21 +4,27 @@ The lattice is generated by the curve classes e_1..e_N of the tree.  Its
 pairing has (e_i, e_i) = -2 and (e_i, e_j) = 1 exactly when the curves
 meet, and must be negative definite for the tree to come from an actual
 contraction.  Dual coordinates live in the divisor basis D_1..D_N with
-D_i . e_j given by the Kronecker delta, not by the gram form.
+D_i . e_j given by the Kronecker delta, not by the gram form.  The tree
+is the one datum: it is negative definite exactly when it is a Dynkin
+diagram of type A, D or E (Bourbaki, Lie Groups VI 4), so its shape
+gives the type, and the type gives |Phi+| and |W| in closed form.
+Positive roots, of the whole system or of a parabolic subsystem, are
+built by height from the simple roots.
 
 The simple reflection s_i is one sparse step on either side, reflect on
 curve classes and coreflect on divisor coordinates, each touching curve
 i and its tree neighbours only.  A Weyl element is its word in simple
-reflections; every action, the root closure and the group enumeration
-run on those two steps, and matrices are built from the word on demand.
-On divisor coordinates there is one word loop, which updates lists in
-place letter by letter; coreflect is that loop on a one-letter word.
-Callers that frame a point feed it integer numerators over one common
-denominator and divide once at the end.
+reflections; every action and the group enumeration run on those two
+steps, and matrices are built from the word on demand.  On divisor
+coordinates there is one word loop, which updates lists in place letter
+by letter; coreflect is that loop on a one-letter word.  Callers that
+frame a point feed it integer numerators over one common denominator
+and divide once at the end.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence, Tuple
@@ -30,9 +36,15 @@ from .errors import (
     NotATree,
     NotNegativeDefinite,
 )
-from .linalg import IntMat, IntVec, identity_mat, leading_minors, mat_vec, transpose, vdot
+from .linalg import IntMat, IntVec, identity_mat, mat_vec, transpose, vdot
 
 WEYL_CAP_DEFAULT = 100_000
+# |Phi+| and |W| of each type (Humphreys, Reflection Groups and Coxeter Groups 2.11)
+_COUNTS = {
+    "A": lambda n: (n * (n + 1) // 2, math.factorial(n + 1)),
+    "D": lambda n: (n * (n - 1), 2 ** (n - 1) * math.factorial(n)),
+    "E": {6: (36, 51_840), 7: (63, 2_903_040), 8: (120, 696_729_600)}.get,
+}
 
 
 @dataclass(frozen=True)
@@ -82,10 +94,6 @@ class Root:
     """Integer class with self-pairing -2; coordinates share a single sign."""
 
     coords: IntVec
-
-    @property
-    def is_positive(self) -> bool:
-        return all(c >= 0 for c in self.coords)
 
 
 class WeylElement:
@@ -157,11 +165,61 @@ class WeylElement:
 @dataclass(frozen=True)
 class RootLattice:
     graph: DualGraph
-    gram: IntMat
 
     @cached_property
     def n(self) -> int:
         return self.graph.n_curves
+
+    @cached_property
+    def _neighbours(self) -> Tuple[Tuple[int, ...], ...]:
+        nbrs = [[] for _ in range(self.n)]
+        for i, j in self.graph.edges:
+            nbrs[i - 1].append(j - 1)
+            nbrs[j - 1].append(i - 1)
+        return tuple(tuple(sorted(nb)) for nb in nbrs)
+
+    @cached_property
+    def gram(self) -> IntMat:
+        return tuple(tuple(-2 if j == k else int(j in nb) for j in range(self.n))
+                     for k, nb in enumerate(self._neighbours))
+
+    # -- type and counts from the shape ------------------------------------------
+
+    @cached_property
+    def dynkin_type(self) -> Tuple[str, int]:
+        """("A", n), ("D", n) or ("E", n), read off the tree in one walk.
+        Any other tree raises NotNegativeDefinite, naming the curve at fault."""
+        nbrs = self._neighbours
+        branches = [k for k, nb in enumerate(nbrs) if len(nb) > 2]
+        if not branches:
+            return "A", self.n
+        b = branches[0]
+        if len(branches) > 1:
+            fault = f"curves {b + 1} and {branches[1] + 1} both branch"
+        elif len(nbrs[b]) > 3:
+            fault = f"curve {b + 1} meets {len(nbrs[b])} curves"
+        else:
+            arms = []
+            for k in nbrs[b]:  # walk each arm out to its leaf
+                prev, length = b, 1
+                while len(nbrs[k]) == 2:
+                    prev, k = k, nbrs[k][0] + nbrs[k][1] - prev
+                    length += 1
+                arms.append(length)
+            arms.sort()
+            if arms[:2] == [1, 1] or (arms[:2] == [1, 2] and arms[2] <= 4):
+                return ("D" if arms[1] == 1 else "E"), self.n
+            fault = f"curve {b + 1} branches into arms of {arms[0]}, {arms[1]} and {arms[2]} curves"
+        raise NotNegativeDefinite(
+            f"{fault}; the negative definite trees are A_n, D_n, E6, E7 and E8")
+
+    @cached_property
+    def positive_root_count(self) -> int:
+        return _COUNTS[self.dynkin_type[0]](self.n)[0]
+
+    @cached_property
+    def weyl_order(self) -> int:
+        return _COUNTS[self.dynkin_type[0]](self.n)[1]
 
     # -- pairing and simple reflections ------------------------------------
 
@@ -174,10 +232,6 @@ class RootLattice:
     def pairing(self, v, w):
         """Gram pairing of two curve-side vectors."""
         return vdot(self._coords(v), mat_vec(self.gram, self._coords(w)))
-
-    @cached_property
-    def _neighbours(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(tuple(j for j, g in enumerate(row) if g == 1) for row in self.gram)
 
     def _index(self, i: int) -> int:
         if not (1 <= i <= self.n):
@@ -221,10 +275,6 @@ class RootLattice:
 
     # -- Weyl elements -------------------------------------------------------
 
-    def simple_root(self, i: int) -> Root:
-        k = self._index(i)
-        return Root(tuple(1 if j == k else 0 for j in range(self.n)))
-
     def weyl_identity(self) -> WeylElement:
         return self.weyl_from_word(())
 
@@ -236,47 +286,41 @@ class RootLattice:
     # -- enumeration --------------------------------------------------------
 
     @cached_property
-    def _root_closure(self) -> Tuple[Tuple[Root, ...], Tuple[Root, ...]]:
-        seen = {self.simple_root(i).coords for i in range(1, self.n + 1)}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for i in range(1, self.n + 1):
-                    img = self.reflect(i, v)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        roots = tuple(Root(c) for c in sorted(seen))
-        return roots, tuple(r for r in roots if r.is_positive)
-
-    def enumerate_roots(self) -> Tuple[Root, ...]:
-        """All self-pairing -2 classes, closed under simple reflections."""
-        return self._root_closure[0]
-
-    def positive_roots(self) -> Tuple[Root, ...]:
-        return self._root_closure[1]
-
-    @cached_property
-    def _parabolic(self) -> dict:
+    def _subsystems(self) -> dict:
         return {}
 
-    def _parabolic_roots(self, curves: Tuple[int, ...]) -> Tuple[IntVec, ...]:
-        """Positive roots supported on the given curves, in positive_roots() order:
-        the positive roots of the subsystem their simple roots span, cached per set."""
-        if curves not in self._parabolic:
-            self._parabolic[curves] = tuple(
-                r.coords for r in self.positive_roots()
-                if all(c == 0 or j + 1 in curves for j, c in enumerate(r.coords)))
-        return self._parabolic[curves]
+    def _positive_roots_on(self, curves: Tuple[int, ...]) -> Tuple[Root, ...]:
+        """Positive roots supported on the given curves, sorted and cached per set:
+        the positive roots of their subsystem, built by height from its simple roots."""
+        if curves not in self._subsystems:
+            nbrs, ks = self._neighbours, [self._index(i) for i in curves]
+            found = layer = {tuple(int(j == k) for j in range(self.n)) for k in ks}
+            while layer:  # v + e_k is a root exactly when (v, e_k) = 1
+                layer = {v[:k] + (v[k] + 1,) + v[k + 1:] for v in layer for k in ks
+                         if sum(v[j] for j in nbrs[k]) - 2 * v[k] == 1}
+                found = found | layer
+            self._subsystems[curves] = tuple(Root(v) for v in sorted(found))
+        return self._subsystems[curves]
+
+    def positive_roots(self) -> Tuple[Root, ...]:
+        return self._positive_roots_on(tuple(range(1, self.n + 1)))
+
+    def enumerate_roots(self) -> Tuple[Root, ...]:
+        """All self-pairing -2 classes, sorted."""
+        pos = self.positive_roots()
+        # negation reverses the order, and every negative root sorts first
+        return tuple(Root(tuple(-c for c in r.coords)) for r in reversed(pos)) + pos
+
+    def capped_weyl_order(self, cap: int) -> int:
+        """|W|, refused with CapExceeded when it is above cap."""
+        if self.weyl_order > cap:
+            raise CapExceeded(f"more than {cap} elements")
+        return self.weyl_order
 
     def enumerate_weyl(self, cap: int = WEYL_CAP_DEFAULT) -> Tuple[WeylElement, ...]:
         """Full reflection group, breadth-first over keys: the key of w s_i
-        is coreflect(i, key of w).
-
-        Raises CapExceeded as soon as more than cap distinct elements appear.
-        """
+        is coreflect(i, key of w).  Refused with CapExceeded when |W| > cap."""
+        self.capped_weyl_order(cap)
         rho = (1,) * self.n
         words = {rho: ()}
         queue = [rho]
@@ -284,32 +328,17 @@ class RootLattice:
             for i in range(1, self.n + 1):
                 img = self.coreflect(i, key)
                 if img not in words:
-                    if len(words) + 1 > cap:
-                        raise CapExceeded(f"more than {cap} elements")
                     words[img] = words[key] + (i,)
                     queue.append(img)
         return tuple(WeylElement(self, word, key) for key, word in words.items())
 
 
 def build_lattice(graph: DualGraph) -> RootLattice:
-    """Gram form of a dual graph; raises NotNegativeDefinite when it fails.
-
-    Definiteness is decided exactly: every leading principal minor of the
-    negated gram matrix must be positive.
-    """
-    n = graph.n_curves
-    adj = {(i, j) for i, j in graph.edges} | {(j, i) for i, j in graph.edges}
-    gram = tuple(
-        tuple(-2 if i == j else (1 if (i + 1, j + 1) in adj else 0)
-              for j in range(n))
-        for i in range(n)
-    )
-    neg = tuple(tuple(-x for x in row) for row in gram)
-    minors = leading_minors(neg)
-    if any(m <= 0 for m in minors):
-        raise NotNegativeDefinite(
-            f"leading minors of the negated gram matrix are {minors}")
-    return RootLattice(graph, gram)
+    """Lattice of a dual graph; raises NotNegativeDefinite unless its shape is
+    a Dynkin diagram of type A, D or E (see RootLattice.dynkin_type)."""
+    lat = RootLattice(graph)
+    lat.dynkin_type  # raises NotNegativeDefinite for any other shape
+    return lat
 
 
 def lattice_from_edges(n_curves: int, edges: Iterable[Sequence[int]]) -> RootLattice:

@@ -1,7 +1,7 @@
-"""Small exact linear algebra kernel over int and Fraction.
+"""Small exact vector kernel over int and Fraction.
 
-Everything here is sized for lattices of rank below ten, so clarity wins
-over asymptotics.  No floating point anywhere.
+Vectors are tuples; the only matrices are the dense ones built for
+output and for the gram pairing.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -51,36 +51,3 @@ def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> tuple:
 
 def transpose(m: Sequence[Sequence[Scalar]]) -> tuple:
     return tuple(zip(*m))
-
-
-def det_int(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def leading_minors(m: Sequence[Sequence[int]]) -> Tuple[int, ...]:
-    n = len(m)
-    return tuple(
-        det_int([row[: k + 1] for row in list(m)[: k + 1]]) for k in range(n)
-    )
-

@@ -7,6 +7,7 @@ are always emitted sorted, so equal values serialize to equal bytes.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Dict, List, Sequence
 
@@ -23,10 +24,13 @@ def frac_str(x) -> str:
 
 
 def parse_frac(s) -> Fraction:
+    # a JSON integer or "p/q" only: Fraction() also reads exponents, as in "1e999999999"
     try:
-        return Fraction(str(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {s!r}") from exc
+        if type(s) is int or (isinstance(s, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s)):
+            return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        pass  # a zero denominator, or more digits than int() reads
+    raise ValueError(f"not a rational: {json.dumps(s, default=repr)}")
 
 
 def vec_json(v: Sequence) -> List[str]:

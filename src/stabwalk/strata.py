@@ -86,7 +86,7 @@ def _descend_to_dominant(lat: RootLattice, o: IntVec) -> Tuple[WeylElement, IntV
     o, word = list(o), []
 
     def letters():
-        for _ in range(len(lat.positive_roots()) + 1):
+        for _ in range(lat.positive_root_count + 1):
             for i, x in enumerate(o, 1):
                 if x < 0:
                     break
@@ -104,10 +104,10 @@ def _forbidden_root(lat: RootLattice, frame: WeylElement, vanishing: Tuple[int, 
                     fb: IntVec, d: int) -> Optional[Tuple[Root, int]]:
     """Least frame(u), u in Phi_J+, with fb . u / d integral (a minimal frame keeps it > 0)."""
     best = None
-    for u in lat._parabolic_roots(vanishing):
-        level, rem = divmod(vdot(fb, u), d)
+    for u in lat._positive_roots_on(vanishing):
+        level, rem = divmod(vdot(fb, u.coords), d)
         if rem == 0:
-            v = u
+            v = u.coords
             for i in reversed(frame.word):
                 v = lat.reflect(i, v)
             if best is None or v < best[0]:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import gc
 import json
+import sys
+import time
 
 import pytest
 
@@ -94,6 +96,20 @@ def test_parse_failures(tmp_path, capsys):
         msg = json.loads(err)
         assert msg["error"] == "ValueError"
         assert field in msg["message"] and msg["message"].endswith(bad)
+
+
+@pytest.mark.parametrize("literal", ["1e999999999", "1e5000", "0.5", " 1", "1/0", True, 0.5])
+def test_coordinates_outside_the_documented_forms_are_refused(tmp_path, capsys, literal):
+    g = _graph(tmp_path, 2, [[1, 2]])
+    pt = json.dumps({"beta": [literal, "1/3"], "omega": [1, 2]})
+    for command in ("classify", "heart-check"):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, [command, "--graph", g, "--point", pt])
+        # an exponent must not start a power of ten before the refusal
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": f"not a rational: {json.dumps(literal)}"}
 
 
 def test_weyl_cap_below_one_is_a_bad_flag(tmp_path, capsys):
@@ -331,3 +347,37 @@ def test_internal_error_prints_one_json_object(tmp_path, capsys, edges, command)
     assert 1 <= code <= 5 and out == ""
     assert len(err.splitlines()) == 1 and set(json.loads(err)) == {"error", "message"}
     assert "Traceback" not in err
+
+
+def test_every_command_is_bounded_on_a_long_chain(tmp_path, capsys):
+    n = 400
+    g = _graph(tmp_path, n, [[i, i + 1] for i in range(1, n)])
+    # omega's last coordinates give four negative roots and no vanishing one
+    chamber = json.dumps({"beta": ["1/2"] * n, "omega": [1] * (n - 1) + ["-7/2"]})
+    wall = json.dumps({"beta": ["1/2"] * n, "omega": [0] + [1] * (n - 1)})
+    kclass = json.dumps({"point_mult": 1, "curve_mult": [1] * n})
+    for argv, want in ((["validate"], 0), (["weyl", "--cap", "100"], 5),
+                       (["classify", "--point", chamber], 0), (["classify", "--point", wall], 0),
+                       (["heart-check", "--point", wall], 0),
+                       (["charge", "--point", chamber, "--kclass", kclass], 0),
+                       (["meridian", "--curve", str(n), "--strip", "1"], 0)):
+        start = time.perf_counter()
+        code, _, err = _run(capsys, argv + ["--graph", g])
+        assert time.perf_counter() - start < 2, argv[0]
+        assert code == want, err
+
+
+def test_output_failures_print_one_json_object(tmp_path, capsys):
+    g = _graph(tmp_path, 2, [[1, 2]])
+    code, out, err = _run(capsys, ["validate", "--graph", g, "--out", str(tmp_path / "no" / "x")])
+    assert code == 1 and out == "" and json.loads(err)["error"] == "FileNotFoundError"
+    # |W| = 331! has 694 digits, above the lowest limit the interpreter allows
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = _run(capsys, ["validate", "--graph", _graph(
+            tmp_path, 330, [[i, i + 1] for i in range(1, 330)])])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "ValueError"

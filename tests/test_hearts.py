@@ -25,7 +25,7 @@ from stabwalk import (
     stability_check,
     tilted_heart,
 )
-from stabwalk.linalg import det_int
+from reference import det_int
 
 
 def _pt(beta, omega):

@@ -164,8 +164,8 @@ def test_stability_check_sums_charges_on_integers(monkeypatch):
 
 def test_open_chamber_classify_runs_one_descent_and_no_forbidden_test(monkeypatch):
     lat = LATTICES["E8"]
-    lat.positive_roots()  # the closure is lattice structure, built once
-    calls = {"positive_roots": 0, "_forbidden_root": 0, "common_denominator": 0}
+    calls = {"positive_roots": 0, "_positive_roots_on": 0, "_forbidden_root": 0,
+             "common_denominator": 0}
 
     def counting(owner, name):
         fn = getattr(owner, name)
@@ -176,6 +176,7 @@ def test_open_chamber_classify_runs_one_descent_and_no_forbidden_test(monkeypatc
         monkeypatch.setattr(owner, name, wrapper)
 
     counting(RootLattice, "positive_roots")
+    counting(RootLattice, "_positive_roots_on")
     counting(strata_mod, "_forbidden_root")
     counting(strata_mod, "common_denominator")
     far = lat.weyl_from_word((1, 2, 3, 4, 5, 6, 7, 8) * 8)
@@ -183,6 +184,7 @@ def test_open_chamber_classify_runs_one_descent_and_no_forbidden_test(monkeypatc
                        far.apply_dual(tuple(Fraction(k, 3) for k in range(1, 9))))
     label = classify(lat, p)
     assert isinstance(label, AmpleChamber) and label.weyl == far
-    # the descent bound reads the roots, omega is put over one denominator
-    # once, and an open chamber leaves nothing to test
-    assert calls == {"positive_roots": 1, "_forbidden_root": 0, "common_denominator": 1}
+    # the descent bound is the closed-form root count, omega is put over one
+    # denominator once, and an open chamber builds no roots and tests nothing
+    assert calls == {"positive_roots": 0, "_positive_roots_on": 0, "_forbidden_root": 0,
+                     "common_denominator": 1}

@@ -22,6 +22,7 @@ from stabwalk import (
     word,
 )
 from stabwalk.linalg import identity_mat, mat_vec, transpose
+from reference import leading_minors
 
 
 def mat_mul(a, b):
@@ -68,6 +69,65 @@ def test_gram_no_edge_means_zero():
 def test_star_valence_four_rejected():
     with pytest.raises(NotNegativeDefinite):
         lattice_from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
+
+
+def prufer_tree(n, seq):
+    """Edges of the labelled tree on 1..n with Pruefer sequence seq."""
+    degree = [0] + [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = degree.index(1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    edges.append(tuple(u for u in range(1, n + 1) if degree[u] == 1))
+    return edges
+
+
+# the extended diagrams, each the smallest tree its rule refuses
+AFFINE_TREES = {
+    "D4~": (5, [(1, 2), (1, 3), (1, 4), (1, 5)], r"curve 1 meets 4 curves"),
+    "D5~": (6, [(1, 3), (2, 3), (3, 4), (4, 5), (4, 6)], r"curves 3 and 4 both branch"),
+    "D7~": (8, [(1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (6, 8)],
+            r"curves 3 and 6 both branch"),
+    "E6~": (7, [(1, 2), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7)],
+            r"curve 1 branches into arms of 2, 2 and 2 curves"),
+    "E7~": (8, [(1, 2), (1, 3), (3, 4), (4, 5), (1, 6), (6, 7), (7, 8)],
+            r"curve 1 branches into arms of 1, 3 and 3 curves"),
+    "E8~": (9, [(4, 1), (4, 2), (2, 3), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9)],
+            r"curve 4 branches into arms of 1, 2 and 5 curves"),
+}
+
+
+def test_shape_verdict_matches_leading_minors():
+    """The tree's shape accepts exactly the trees whose negated gram form has
+    positive leading minors: every labelled tree of up to 6 curves, plus
+    the extended diagrams."""
+    trees = [(1, [])] + [(n, prufer_tree(n, seq)) for n in range(2, 7)
+                         for seq in itertools.product(range(1, n + 1), repeat=n - 2)]
+    assert len(trees) == 1442
+    trees += [(n, edges) for n, edges, _ in AFFINE_TREES.values()]
+    for n, edges in trees:
+        graph = build_graph(n, edges)
+        adjacent = set(graph.edges) | {(j, i) for i, j in graph.edges}
+        negated = [[2 if i == j else -((i, j) in adjacent) for j in range(1, n + 1)]
+                   for i in range(1, n + 1)]
+        definite = all(m > 0 for m in leading_minors(negated))
+        try:
+            build_lattice(graph)
+        except NotNegativeDefinite:
+            assert not definite, edges
+        else:
+            assert definite, edges
+
+
+@pytest.mark.parametrize("name", list(AFFINE_TREES))
+def test_refusal_names_the_curve(name):
+    n, edges, msg = AFFINE_TREES[name]
+    with pytest.raises(NotNegativeDefinite, match=f"^{msg}; the negative definite trees are "):
+        lattice_from_edges(n, edges)
 
 
 def test_tree_validation():
@@ -146,7 +206,7 @@ def test_roots_match_brute_force():
                 chain_lattice(4), d4_lattice()):
         got = {r.coords for r in lat.enumerate_roots()}
         assert got == brute_force_roots(lat, 6)
-        # closure never leaves the brute-force box
+        # no root leaves the brute-force box
         assert all(abs(c) <= 6 for v in got for c in v)
 
 
@@ -157,7 +217,7 @@ def test_root_invariants():
         assert all(c >= 0 for c in r.coords) or all(c <= 0 for c in r.coords)
     pos = lat.positive_roots()
     assert len(pos) * 2 == len(lat.enumerate_roots())
-    assert all(r.is_positive for r in pos)
+    assert all(min(r.coords) >= 0 for r in pos)
 
 
 def test_weyl_orders():
@@ -246,19 +306,37 @@ def dynkin_lattice(t):
 
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "D4", "D5", "E6", "E7", "E8"]
+LARGER_D = ["D6", "D7", "D8"]
+ENUMERATED = ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"]
 
 
-@pytest.mark.parametrize("t", ALL_TYPES)
+@pytest.mark.parametrize("t", ALL_TYPES + LARGER_D)
 def test_root_count_matches_sympy(t):
     root_system = pytest.importorskip("sympy.liealgebras.root_system")
-    assert len(dynkin_lattice(t).enumerate_roots()) == len(root_system.RootSystem(t).all_roots())
+    lat = dynkin_lattice(t)
+    assert lat.dynkin_type == (t[0], int(t[1:]))
+    count = len(root_system.RootSystem(t).all_roots())
+    assert len(lat.enumerate_roots()) == 2 * lat.positive_root_count == count
+    pos = lat.positive_roots()
+    assert len(pos) == lat.positive_root_count
+    assert [r.coords for r in lat.enumerate_roots()] == sorted(
+        [r.coords for r in pos] + [tuple(-c for c in r.coords) for r in pos])
+    # each parabolic subsystem is the full system filtered to its curves
+    for size in range(1, lat.n + 1):
+        for curves in itertools.combinations(range(1, lat.n + 1), size):
+            assert lat._positive_roots_on(curves) == tuple(
+                r for r in pos if all(c == 0 or j + 1 in curves for j, c in enumerate(r.coords)))
 
 
-@pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6"])
+@pytest.mark.parametrize("t", ALL_TYPES + LARGER_D)
 def test_weyl_order_matches_sympy(t):
     weyl_group = pytest.importorskip("sympy.liealgebras.weyl_group")
+    lat = dynkin_lattice(t)
     # sympy returns an mpf for the A and D types
-    assert len(dynkin_lattice(t).enumerate_weyl()) == int(weyl_group.WeylGroup(t).group_order())
+    order = int(weyl_group.WeylGroup(t).group_order())
+    assert lat.weyl_order == order
+    if t in ENUMERATED:
+        assert len(lat.enumerate_weyl()) == order
 
 
 def test_weyl_elements_of_different_lattices_differ():
