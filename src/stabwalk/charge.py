@@ -105,6 +105,11 @@ class ComplexDivisor:
         return len(self.beta)
 
 
+def point_json(p: ComplexDivisor) -> dict:
+    """A point as JSON: its coordinates as strings in lowest terms."""
+    return {"beta": [str(x) for x in p.beta], "omega": [str(x) for x in p.omega]}
+
+
 @dataclass(frozen=True)
 class ExactComplex:
     """Complex number with exact rational real and imaginary parts."""

@@ -8,10 +8,12 @@ as a word of crossing generators.  Framing the moving point through
 theta keeps its omega strictly positive between crossings, so crossings
 are exactly the sign changes of framed simple coordinates, found by
 solving linear equations in the segment parameter, with no rounding.
-The scans run on integer numerators: each segment's start omega and its
-direction are put over one common denominator and framed once, and a
-crossing time is one fraction of two framed numerators; only the event
-points themselves are built as fractions.
+The scans run on integer numerators: each segment's start and direction
+are put over one common denominator and framed once, and the framed
+numerators follow the stack through every event.  A crossing time is one
+fraction of two framed omega numerators and its strip one integer
+division of framed beta numerators; an event's points are built as
+fractions only when read.
 
 Crossing the frame wall (i, k) appends the generator
 
@@ -28,13 +30,12 @@ chamber.
 The stack is the lift's only record of its chamber.  The shadow of
 gamma_(i, k) is d -> s_i d + k e_i, so theta^-1 of a stack frames a
 point one crossing at a time, first crossing first, each step one
-sparse coreflection: theta(gamma_(i, k))^-1 d = s_i (d - k e_i).  The
-segment's framed omega numerators follow the stack the same way: s_i is
-an involution, so a push and a pop at curve i both coreflect them once.
-theta itself is built only by stack_theta, for the start check and the
-end state, as a Weyl element plus a translation.  Its Weyl element is
-the Weyl chamber of the framed omega, and same_chamber compares chambers
-through it.
+sparse coreflection: theta(gamma_(i, k))^-1 d = s_i (d - k e_i).  A push
+takes framed numerators one such step further and a pop undoes the step
+of the entry it removes; on omega both are the one coreflection s_i.
+stack_theta folds the shadows up in closed form, for the start check and
+the end state.  theta's Weyl element is the Weyl chamber of the framed
+omega, and same_chamber compares chambers through it.
 
 A meridian's stack is known in closed form, so meridian lifts nothing;
 the rectangle it stands for is still drawn by meridian_waypoints.
@@ -42,11 +43,12 @@ the rectangle it stands for is still drawn by meridian_waypoints.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .charge import ComplexDivisor, strip_index
+from .charge import ComplexDivisor, point_json
 from .errors import (
     BaseMismatch,
     DimensionMismatch,
@@ -62,7 +64,6 @@ from .fm_words import (
     Twist,
     affine_identity,
     compose,
-    theta,
     word,
 )
 from .lattice import RootLattice
@@ -78,15 +79,24 @@ class Crossing:
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One processed crossing: where, when, and what it did to the stack."""
+    """One processed crossing: where, when, and what it did to the stack.
+    Its point and framed point are built from its numerators on each read."""
 
     segment: int
     time: Fraction
     curve: int
     strip: int
     action: str  # "push" or "pop"
-    point: ComplexDivisor
-    framed: ComplexDivisor
+    nums: Tuple[tuple, tuple]  # the segment's (start, direction, denominator), beta's and omega's
+    framed_nums: Tuple[tuple, tuple]  # the same framed by the stack before the event
+
+    @property
+    def point(self) -> ComplexDivisor:
+        return _divisor_at(self.nums, self.time)
+
+    @property
+    def framed(self) -> ComplexDivisor:
+        return _divisor_at(self.framed_nums, self.time)
 
 
 @dataclass(frozen=True)
@@ -124,7 +134,11 @@ def stack_word(lat: RootLattice, stack: Sequence[Crossing]) -> FMWord:
 
 
 def stack_theta(lat: RootLattice, stack: Sequence[Crossing]) -> AffineMap:
-    return theta(lat, stack_word(lat, stack))
+    """theta of the stack's word: shadows folded up last crossing first."""
+    trans = (0,) * lat.n
+    for c in reversed(stack):
+        trans = _shift(lat.coreflect(c.curve, trans), c.curve, c.strip)
+    return AffineMap(lat.weyl_from_word([c.curve for c in stack]), trans)
 
 
 def _unframe(lat: RootLattice, stack: Sequence[Crossing], d: tuple, den: int = 0) -> tuple:
@@ -136,9 +150,14 @@ def _unframe(lat: RootLattice, stack: Sequence[Crossing], d: tuple, den: int = 0
     """
     for c in stack:
         if den and c.strip:
-            d = tuple(x - c.strip * den if j == c.curve - 1 else x for j, x in enumerate(d))
+            d = _shift(d, c.curve, -c.strip * den)
         d = lat.coreflect(c.curve, d)
     return d
+
+
+def _shift(d: tuple, i: int, x) -> tuple:
+    """d with x added to its coordinate i."""
+    return d[:i - 1] + (d[i - 1] + x,) + d[i:]
 
 
 def _numerators(v0: tuple, v1: tuple) -> Tuple[tuple, tuple, int]:
@@ -148,10 +167,11 @@ def _numerators(v0: tuple, v1: tuple) -> Tuple[tuple, tuple, int]:
     return nums[:n], tuple(b - a for a, b in zip(nums, nums[n:])), d
 
 
-def _along(x0: Sequence[int], dx: Sequence[int], d: int, s: Fraction) -> tuple:
-    """(x0 + s dx) / d, coordinatewise, from integer numerators."""
+def _divisor_at(nums: Tuple[tuple, tuple], s: Fraction) -> ComplexDivisor:
+    """beta + i omega with each part (x0 + s dx) / d, from its numerators (x0, dx, d)."""
     p, q = s.numerator, s.denominator
-    return tuple(Fraction(a * q + p * b, d * q) for a, b in zip(x0, dx))
+    return ComplexDivisor(*(tuple(Fraction(a * q + p * b, d * q) for a, b in zip(x0, dx))
+                            for x0, dx, d in nums))
 
 
 def _fundamental_start(lat: RootLattice, base: Optional[ComplexDivisor] = None) -> LiftState:
@@ -201,7 +221,8 @@ def lift_path(lat: RootLattice, path: Sequence[ComplexDivisor],
         raise StartNotGeneric("path does not start at the state position")
     for p in pts[1:]:  # pts[0] is the state position, checked above
         if not in_complement(lat, p):
-            raise PathHitsForbidden(f"breakpoint {p} lies on the forbidden locus")
+            raise PathHitsForbidden(
+                f"breakpoint {json.dumps(point_json(p))} lies on the forbidden locus")
 
     stack: List[Crossing] = list(start.stack)
     trace: List[TraceEvent] = list(start.trace)
@@ -211,52 +232,54 @@ def lift_path(lat: RootLattice, path: Sequence[ComplexDivisor],
         p0, p1 = pts[seg], pts[seg + 1]
         if p0 == p1:
             continue
-        # start and direction over one denominator, omega's then framed by
-        # the stack: the framed omega at time s is (fw0 + s fdw) / wd
-        b0, db, bd = _numerators(p0.beta, p1.beta)
-        w0, dw, wd = _numerators(p0.omega, p1.omega)
-        fw0, fdw = (_unframe(lat, stack, x) for x in (w0, dw))
-        t = Fraction(0)
+        # start, direction and denominator, framed by the stack: the framed
+        # point at time s is (fb0 + s fdb) / bd + i (fw0 + s fdw) / wd
+        nums = (b0, db, bd), (w0, dw, wd) = (_numerators(p0.beta, p1.beta),
+                                             _numerators(p0.omega, p1.omega))
+        fb0, fdb = _unframe(lat, stack, b0, bd), _unframe(lat, stack, db)
+        fw0, fdw = _unframe(lat, stack, w0), _unframe(lat, stack, dw)
+        p, q = 0, 1  # the last crossing time, p / q
         for _ in range(max_events):
-            hits = []
+            walls = []  # the curves whose coordinate vanishes first in (p / q, 1], at c / d
             for j, (a, b) in enumerate(zip(fw0, fdw)):
                 if a == 0 and b == 0:
                     raise NonGenericCrossing(
                         f"segment {seg} runs inside the wall of curve {j + 1}")
-                # coordinate j vanishes at s = -a / b, wanted in (t, 1]
+                # coordinate j vanishes at s = -a / b = |a| / |b|
                 if a * b < 0 and abs(a) <= abs(b):
-                    s = Fraction(-a, b)
-                    if s > t:
-                        hits.append((s, j + 1))
-            if not hits:
+                    a, b = abs(a), abs(b)
+                    if a * q <= p * b:
+                        continue
+                    if not walls or a * d < c * b:
+                        c, d, walls = a, b, [j + 1]
+                    elif a * d == c * b:
+                        walls.append(j + 1)
+            if not walls:
                 break
-            s_min = min(h[0] for h in hits)
-            at_min = [h for h in hits if h[0] == s_min]
-            if len(at_min) > 1:
-                walls = sorted(h[1] for h in at_min)
+            if len(walls) > 1:
                 raise NonGenericCrossing(
                     f"segment {seg} meets walls {walls} at the same instant")
-            if s_min == 1:
+            if c == d:
                 raise NonGenericCrossing(
                     f"breakpoint after segment {seg} lies on a wall")
-            s, i = at_min[0]
-            pos = ComplexDivisor(_along(b0, db, bd, s), _along(w0, dw, wd, s))
-            nb, d = common_denominator(pos.beta)
-            framed = ComplexDivisor(tuple(Fraction(x, d) for x in _unframe(lat, stack, nb, d)),
-                                    _along(fw0, fdw, wd, s))
-            fb = framed.beta[i - 1]
-            if fb.denominator == 1:
+            (i,), p, q = walls, c, d
+            s = Fraction(p, q)
+            # framed beta_i at s lies in the strip (k - 1, k)
+            k, r = divmod(fb0[i - 1] * q + p * fdb[i - 1], bd * q)
+            if not r:
                 raise PathHitsForbidden(
-                    f"crossing of curve {i} at framed offset {fb}, an integer")
-            k = strip_index(fb)
+                    f"crossing of curve {i} at framed offset {k}, an integer")
+            k += 1
+            framed = (fb0, fdb, bd), (fw0, fdw, wd)
             if stack and stack[-1].curve == i and k == 1:
-                stack.pop()
-                trace.append(TraceEvent(seg, s, i, k, "pop", pos, framed))
+                # undo the popped entry's step: s_i d + k_top e_i
+                fb0 = _shift(lat.coreflect(i, fb0), i, stack.pop().strip * bd)
+                trace.append(TraceEvent(seg, s, i, k, "pop", nums, framed))
             else:
+                fb0 = lat.coreflect(i, _shift(fb0, i, -k * bd))
                 stack.append(Crossing(i, k))
-                trace.append(TraceEvent(seg, s, i, k, "push", pos, framed))
-            fw0, fdw = lat.coreflect(i, fw0), lat.coreflect(i, fdw)
-            t = s
+                trace.append(TraceEvent(seg, s, i, k, "push", nums, framed))
+            fdb, fw0, fdw = (lat.coreflect(i, x) for x in (fdb, fw0, fdw))
         else:
             raise AssertionError("event scan failed to terminate")
         # segment end must be strictly inside the current chamber

@@ -9,9 +9,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List
 
-from .charge import ComplexDivisor, ExactComplex, KClass
+from .charge import ComplexDivisor, ExactComplex, KClass, point_json
 from .covering import Crossing, DeckElement, LiftState, TraceEvent
 from .fm_words import AffineMap, FMWord, Flop, Twist
 from .hearts import HeartDescriptor, StabilityReport
@@ -33,10 +33,6 @@ def parse_frac(s) -> Fraction:
     raise ValueError(f"not a rational: {json.dumps(s, default=repr)}")
 
 
-def vec_json(v: Sequence) -> List[str]:
-    return [frac_str(x) for x in v]
-
-
 def parse_vec(xs) -> tuple:
     if not isinstance(xs, (list, tuple)):
         raise ValueError(f"expected a list of rationals, got {xs!r}")
@@ -56,10 +52,6 @@ def parse_graph(data) -> DualGraph:
 
 
 # -- points and paths ------------------------------------------------------
-
-def point_json(p: ComplexDivisor) -> Dict[str, Any]:
-    return {"beta": vec_json(p.beta), "omega": vec_json(p.omega)}
-
 
 def parse_point(data) -> ComplexDivisor:
     if not isinstance(data, dict) or "beta" not in data or "omega" not in data:

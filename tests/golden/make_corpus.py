@@ -50,6 +50,8 @@ WEYL_LISTED = ("A1", "A2", "A3", "A4", "D4")
 # 3) and a breakpoint on the wall (exit 4)
 FORBIDDEN_PATH = [(("1/2",), (1,)), ((1,), (1,)), ((1,), (-1,))]
 NON_GENERIC_PATH = [(("1/2",), (1,)), (("1/2",), (0,))]
+# a rank-two path whose last breakpoint lies on the forbidden locus (exit 3)
+BREAKPOINT_PATH = [(("1/2", "1/2"), (1, 1)), (("1/3", "1/5"), (2, 1)), (("1/2", "1/2"), (0, 0))]
 # a rank-one path down through the wall and back up one strip further
 A1_SLICE_PATH = [(("1/2",), (1,)), (("1/2",), (-1,)), (("3/2",), (-1,)), (("3/2",), (1,))]
 
@@ -146,6 +148,8 @@ def build_cases() -> list:
     on("A2", "meridian", "--curve", "3", "--strip", "0", tag="-bad-curve")
     on("A1", "lift", "--path", "path.json", files={"path.json": path_text(FORBIDDEN_PATH)},
        tag="-forbidden")
+    on("A2", "lift", "--path", "path.json", files={"path.json": path_text(BREAKPOINT_PATH)},
+       tag="-forbidden-breakpoint")
     on("A1", "lift", "--path", "path.json", files={"path.json": path_text(NON_GENERIC_PATH)},
        tag="-non-generic")
     return cases

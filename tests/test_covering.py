@@ -348,8 +348,8 @@ def test_push_builds_no_frame_from_identity(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    for owner, name in ((covering_mod, "theta"), (fm_words_mod, "theta"),
-                        (fm_words_mod.AffineMap, "compose")):
+    for owner, name in ((fm_words_mod, "theta"), (fm_words_mod.AffineMap, "compose"),
+                        (ComplexDivisor, "__post_init__")):
         counting(owner, name)
     dual_mat = WeylElement.dual_mat.fget
 
@@ -360,20 +360,24 @@ def test_push_builds_no_frame_from_identity(monkeypatch):
     lat = lattice_from_edges(4, [(1, 2), (2, 3), (2, 4)])
     beta = (Fraction(1, 7), Fraction(2, 11), Fraction(3, 13), Fraction(5, 17))
     start = fundamental_state(lat, _pt(beta, [1, 1, 1, 1]))
+    far = _pt(beta, [-1, Fraction(-2, 3), Fraction(-3, 2), Fraction(-1, 2)])
     calls.clear()
     assert lift_path(lat, [start.position], start).trace == ()
     still = dict(calls)
     calls.clear()
-    far = _pt(beta, [-1, Fraction(-2, 3), Fraction(-3, 2), Fraction(-1, 2)])
     end = lift_path(lat, [start.position, far, start.position], start)
     actions = Counter(ev.action for ev in end.trace)
     assert actions == {"push": 12, "pop": 12} and end.stack == ()
-    # theta is built per lift, never per event, and never as a matrix
-    assert calls == still == {"theta": 2}
+    # theta is built in closed form, never from a word and never as a matrix,
+    # and no event builds its points until they are read
+    assert calls == still == {}
+    ev = end.trace[5]
+    assert ev.point.n == 4 and calls == {"__post_init__": 1}
+    assert ev.framed.omega[ev.curve - 1] == 0 and calls == {"__post_init__": 2}
     calls.clear()
     # the counters are live: composing builds no matrix, output builds one
     composed = stack_theta(lat, (Crossing(1, 2), Crossing(3, 0))).compose(end.theta)
-    assert calls == {"theta": 1, "compose": 1}
+    assert calls == {"compose": 1}
     serialize.affine_json(composed)
     assert calls["dual_mat"] == 1
 

@@ -4,7 +4,8 @@ lift_path frames points through theta^-1 of its crossing stack one sparse
 step per crossing, and the event scan carries framed integer numerators
 through every push and pop.  The reference here is the shadow of the
 stack's inverted word, built from the identity by fm_words.theta, and the
-dense affine action of that inverse on each event point.
+dense affine action of that inverse on each event point; stack_theta's
+closed form is checked against theta of the stack's word.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ def test_push_and_pop_match_the_dense_shadow(name):
             else:
                 stack.append(Crossing(rng.randint(1, lat.n), rng.randint(-3, 3)))
             inv = theta(lat, invert(stack_word(lat, stack)))
+            # the closed form against the word it stands for
+            assert stack_theta(lat, stack) == theta(lat, stack_word(lat, stack))
             assert stack_theta(lat, stack).compose(inv) == affine_identity(lat)
             d = tuple(rng.randint(-9, 9) for _ in range(lat.n))
             den = rng.randint(1, 7)
